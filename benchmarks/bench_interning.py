@@ -1,12 +1,13 @@
-"""Interned columnar tuple core vs the retained object-path matcher.
+"""Interned columnar tuple core vs an object-path backtracking matcher.
 
-The join executor has two planes: the interned row plane (``EncodedRule`` /
-``enumerate_bindings`` over dense integer ids — what ``fixpoint`` and the
-maintenance layer consume) and the object-path backtracker it transparently
-falls back to.  Handing ``enumerate_matches`` a ``negative_against`` oracle
-whose ``SymbolTable`` differs from the index's forces the object plane with
-identical semantics for positive-only patterns, so both planes can be timed
-head-to-head on the same stored data.
+The engine has one join executor: the interned row plane (``EncodedRule`` /
+``enumerate_bindings`` over dense integer ids — what ``fixpoint``, the
+maintenance layer and ``enumerate_matches`` run on).  The reference it is
+timed against is the object-path backtracker the engine used to fall back
+to, kept here as a benchmark-local copy (:func:`object_path_matches`): the
+same greedy plan (``order_body``) and the same pattern hash tables
+(``RelationIndex.rows_for``), but candidates decoded to atoms
+(``symbols.atom``) and matched term by term into assignment dicts.
 
 Workloads mirror the acceptance criterion's join-heavy paths:
 
@@ -31,15 +32,16 @@ import time
 import pytest
 
 from repro import parse_program
-from repro.core.atoms import Atom, Predicate
-from repro.core.terms import Constant, Variable
-from repro.engine import MemoryBackend, RelationIndex, SymbolTable, fixpoint
+from repro.core.atoms import Atom, Predicate, apply_substitution
+from repro.core.terms import Constant, FunctionTerm, Variable
+from repro.engine import RelationIndex, fixpoint, is_flexible, resolve_term
 from repro.engine.planner import (
     CompiledRule,
     compile_rule,
     encode_rule,
     enumerate_bindings,
     enumerate_matches,
+    order_body,
 )
 
 LINK = Predicate("link", 2)
@@ -71,15 +73,99 @@ TRIANGLE = CompiledRule(
 )
 
 
-def object_path_oracle() -> RelationIndex:
-    """An empty oracle with its own ``SymbolTable``.
+def _match_term(pattern, target, assignment):
+    """Extend *assignment* so *pattern* maps onto *target*, or ``None``."""
+    if is_flexible(pattern):
+        bound = assignment.get(pattern)
+        if bound is None:
+            extended = dict(assignment)
+            extended[pattern] = target
+            return extended
+        return assignment if bound == target else None
+    if isinstance(pattern, FunctionTerm):
+        if not isinstance(target, FunctionTerm) or pattern.function != target.function:
+            return None
+        if len(pattern.arguments) != len(target.arguments):
+            return None
+        current = assignment
+        for sub_pattern, sub_target in zip(pattern.arguments, target.arguments):
+            current = _match_term(sub_pattern, sub_target, current)
+            if current is None:
+                return None
+        return current
+    return assignment if pattern == target else None
 
-    Passing it as ``negative_against`` makes ``enumerate_matches`` refuse the
-    encoded plane (the oracle's ids would not be comparable) and fall back to
-    the object-path matcher; with no negative literals in the pattern the
-    oracle is never consulted, so results are unchanged.
-    """
-    return RelationIndex(backend=MemoryBackend(SymbolTable()))
+
+def _match_atom(pattern, target, assignment):
+    current = assignment
+    for pattern_term, target_term in zip(pattern.terms, target.terms):
+        current = _match_term(pattern_term, target_term, current)
+        if current is None:
+            return None
+    return current
+
+
+def _encoded_key(pattern, assignment, symbols):
+    """The (bound positions, interned key) of *pattern* under *assignment*;
+    ``(None, None)`` when a bound value was never interned."""
+    positions, key = [], []
+    for position, term in enumerate(pattern.terms):
+        value = resolve_term(term, assignment)
+        if value is not None:
+            value_id = symbols.try_encode_term(value)
+            if value_id is None:
+                return None, None
+            positions.append(position)
+            key.append(value_id)
+    return tuple(positions), tuple(key)
+
+
+def _candidates(index, pattern, assignment):
+    """Atoms that can match *pattern*: the decoded bucket of the pattern
+    hash table on the bound positions, the cached atom scan when none is."""
+    symbols = index.symbols
+    positions, key = _encoded_key(pattern, assignment, symbols)
+    if positions is None:
+        return ()
+    if not positions:
+        return index.candidates(pattern.predicate)
+    rows = index.rows_for(pattern.predicate, positions, key)
+    if not rows:
+        return ()
+    decode = symbols.atom
+    predicate = pattern.predicate
+    return [decode(predicate, row) for row in rows]
+
+
+def object_path_matches(pattern: CompiledRule, index: RelationIndex):
+    """The object-path backtracker: assignment dicts extended term by term
+    over decoded candidate atoms, in :func:`order_body`'s greedy order,
+    negative images checked for absence from *index* at the leaves."""
+    base = {}
+    negatives = pattern.negative
+
+    def verify_negatives(assignment):
+        for negative in negatives:
+            image = apply_substitution(negative, assignment)
+            if not image.is_ground:
+                raise ValueError(f"negative atom {negative} not fully bound")
+            if image in index:
+                return False
+        return True
+
+    def backtrack(plan, depth, assignment):
+        if depth == len(plan):
+            if verify_negatives(assignment):
+                yield dict(assignment)
+            return
+        literal = pattern.positive[plan[depth]]
+        for candidate in _candidates(index, literal, assignment):
+            extended = _match_atom(literal, candidate, assignment)
+            if extended is not None:
+                yield from backtrack(plan, depth + 1, extended)
+
+    plan = order_body(pattern, index=index, bound=frozenset(base))
+    yield from backtrack(plan, 0, base)
 
 
 @pytest.fixture(scope="module")
@@ -108,18 +194,12 @@ def triangle_graph() -> RelationIndex:
 def count_interned(pattern: CompiledRule, index: RelationIndex) -> int:
     """Consume the row plane the way fixpoint/maintenance do: raw bindings."""
     encoded = encode_rule(pattern, index.symbols)
-    assert encoded.encodable
     return sum(1 for _ in enumerate_bindings(encoded, index))
 
 
 def count_object(pattern: CompiledRule, index: RelationIndex) -> int:
-    """Consume the object plane the way the pre-interning engine did."""
-    return sum(
-        1
-        for _ in enumerate_matches(
-            pattern, index, negative_against=object_path_oracle()
-        )
-    )
+    """Consume the object-path backtracker the way the pre-interning engine did."""
+    return sum(1 for _ in object_path_matches(pattern, index))
 
 
 def best_of(runs, call):
@@ -196,7 +276,6 @@ def test_api_edge_overhead_at_most_10_percent_on_tiny_queries():
         for i in range(12)
     ]
     index = RelationIndex(atoms)
-    oracle = object_path_oracle()
     patterns = [
         CompiledRule(
             heads=(), positive=(Atom(LINK, (Constant("n0_0"), Y)),), negative=()
@@ -218,12 +297,7 @@ def test_api_edge_overhead_at_most_10_percent_on_tiny_queries():
 
         def object_path():
             return sum(
-                sum(
-                    1
-                    for _ in enumerate_matches(
-                        pattern, index, negative_against=oracle
-                    )
-                )
+                sum(1 for _ in object_path_matches(pattern, index))
                 for _ in range(repeats)
             )
 

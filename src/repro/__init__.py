@@ -40,7 +40,6 @@ False
 
 from .core import (
     Atom,
-    AtomIndex,
     Constant,
     ConjunctiveQuery,
     Database,
@@ -124,7 +123,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Atom",
-    "AtomIndex",
     "ArityError",
     "Constant",
     "ConjunctiveQuery",

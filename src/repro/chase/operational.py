@@ -28,7 +28,8 @@ from typing import Iterator, Optional, Sequence
 from ..classes.position_graph import is_weakly_acyclic
 from ..core.atoms import Atom, apply_substitution
 from ..core.database import Database
-from ..core.homomorphism import AtomIndex, extend_homomorphisms
+from ..core.homomorphism import extend_homomorphisms
+from ..engine.index import RelationIndex
 from ..core.interpretation import Interpretation
 from ..core.rules import NTGD, RuleSet
 from ..core.terms import Null
@@ -60,7 +61,7 @@ def _canonical(atoms: frozenset[Atom]) -> str:
 
 
 def _active_triggers(
-    rules: RuleSet, atoms: set[Atom], index: AtomIndex
+    rules: RuleSet, atoms: set[Atom], index: RelationIndex
 ) -> list[tuple[NTGD, dict, tuple[Atom, ...]]]:
     """Triggers that are applicable, not blocked (w.r.t. the current set), and unsatisfied.
 
@@ -102,7 +103,7 @@ def is_operational_stable_model(
     if not set(database.atoms) <= atoms:
         return False
     rule_set = _as_rule_set(rules)
-    index = AtomIndex(atoms)
+    index = RelationIndex(atoms)
     for rule in rule_set:
         for assignment in enumerate_matches(compile_rule(rule), index):
             if next(
@@ -148,7 +149,7 @@ def operational_stable_models(
         if state_key in seen_states:
             return
         seen_states.add(state_key)
-        index = AtomIndex(atoms)
+        index = RelationIndex(atoms)
         triggers = _active_triggers(rule_set, set(atoms), index)
         if not triggers:
             # Fixpoint.  Soundness holds because `forbidden` collects the

@@ -7,14 +7,11 @@ plus the parsing and homomorphism machinery everything else is built on.
 from .atoms import Atom, Literal, Predicate, apply_substitution
 from .database import Database
 from .homomorphism import (
-    AtomIndex,
     embeds,
     extend_homomorphisms,
     ground_matches,
     has_homomorphism,
     homomorphisms,
-    match_atom,
-    match_terms,
 )
 from .interpretation import Interpretation
 from .modelcheck import (
@@ -45,7 +42,6 @@ from .terms import Constant, FunctionTerm, Null, NullFactory, Variable
 
 __all__ = [
     "Atom",
-    "AtomIndex",
     "Constant",
     "ConjunctiveQuery",
     "Database",
@@ -72,8 +68,6 @@ __all__ = [
     "homomorphisms",
     "is_model",
     "is_model_disjunctive",
-    "match_atom",
-    "match_terms",
     "parse_atom",
     "parse_database",
     "parse_disjunctive_program",

@@ -6,17 +6,14 @@ maps every (positive or negative) literal of ``L`` to a literal of ``L'``.
 In all the algorithms of the paper the source contains variables (rule bodies,
 queries) and the target is ground (an interpretation), and negative literals
 are checked against the target interpretation by *absence* of the
-corresponding positive atom; this module implements exactly that, via a
-backtracking matcher over the multi-key :class:`~repro.engine.index.RelationIndex`.
+corresponding positive atom; this module implements exactly that on the
+engine's interned join executor over a
+:class:`~repro.engine.index.RelationIndex`.
 
 Nulls occurring in the *source* are treated like variables (they may be mapped
 to any term), which is what is needed when checking whether one chase result
-maps into another; nulls in the *target* are plain domain elements.
-
-The matching primitives (:func:`match_terms`, :func:`match_atom`) and the
-index itself live in :mod:`repro.engine`; this module re-exports them and
-keeps the historical entry points (``AtomIndex``, ``extend_homomorphisms``,
-``ground_matches``) working unchanged on top of the engine.
+maps into another; nulls in the *target* are plain domain elements.  Function
+terms of the source (Skolem terms) match stored function terms structurally.
 """
 
 from __future__ import annotations
@@ -24,21 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ..engine.index import (
-    RelationIndex,
-    is_flexible as _is_flexible,
-    match_atom,
-    match_terms,
-)
+from ..engine.index import RelationIndex
 from ..engine.planner import CompiledRule, enumerate_matches as _enumerate_matches
-from .atoms import Atom, Literal, Predicate, apply_substitution
+from .atoms import Atom, Literal, apply_substitution
 from .terms import Term
 
 __all__ = [
-    "AtomIndex",
-    "RelationIndex",
-    "match_terms",
-    "match_atom",
     "homomorphisms",
     "extend_homomorphisms",
     "has_homomorphism",
@@ -47,20 +35,6 @@ __all__ = [
 
 #: A (partial) homomorphism: maps variables and nulls to ground terms.
 Homomorphism = Dict[Term, Term]
-
-
-class AtomIndex(RelationIndex):
-    """Backward-compatible alias of :class:`~repro.engine.index.RelationIndex`.
-
-    Historically this class indexed ground atoms by predicate only (its
-    docstring over-promised indexing "by first constant argument", which the
-    implementation never did).  It is now a thin subclass of the engine's
-    multi-key :class:`RelationIndex`, which builds hash indexes on whatever
-    argument positions are bound at lookup time — so the old promise is
-    finally true, and then some.  Existing imports and the construction,
-    ``add``/``update``, membership, iteration and ``candidates`` APIs keep
-    working unchanged.
-    """
 
 
 #: headless patterns compiled for the engine executor, keyed by literal shape
@@ -93,7 +67,7 @@ def extend_homomorphisms(
     The pattern is compiled (and cached, keyed on its literal shape) to a
     headless :class:`~repro.engine.planner.CompiledRule` and enumerated by
     the engine executor, so homomorphism checks run on the same interned
-    row-plane join as rule evaluation whenever the pattern is encodable.
+    row-plane join as rule evaluation.
 
     Parameters
     ----------
@@ -109,7 +83,7 @@ def extend_homomorphisms(
         by the positive part or by *partial* (safety).
     negative_against:
         The index against which negative atoms are checked; defaults to
-        *index*.
+        *index* and must share its symbol table.
     """
     compiled = _compiled_pattern(positive_atoms, negative_atoms)
     yield from _enumerate_matches(
@@ -127,7 +101,7 @@ def homomorphisms(
     Positive literals must map onto atoms of *target*; negative literals must
     map onto atoms absent from *target*.
     """
-    index = target if isinstance(target, RelationIndex) else AtomIndex(target)
+    index = target if isinstance(target, RelationIndex) else RelationIndex(target)
     positive: list[Atom] = []
     negative: list[Atom] = []
     for item in source:
@@ -190,13 +164,13 @@ def ground_matches(
     the target whose negative images are absent (from ``negative_against`` or
     the target itself), the corresponding ground body.
     """
-    index = target if isinstance(target, RelationIndex) else AtomIndex(target)
+    index = target if isinstance(target, RelationIndex) else RelationIndex(target)
     if negative_against is None:
         check = index
     elif isinstance(negative_against, RelationIndex):
         check = negative_against
     else:
-        check = AtomIndex(negative_against)
+        check = RelationIndex(negative_against)
     positive = [literal.atom for literal in body if literal.positive]
     negative = [literal.atom for literal in body if not literal.positive]
     for assignment in extend_homomorphisms(

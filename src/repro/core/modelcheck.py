@@ -16,7 +16,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .atoms import Atom, Literal
 from .database import Database
-from .homomorphism import AtomIndex, RelationIndex, extend_homomorphisms, ground_matches
+from ..engine.index import RelationIndex
+from .homomorphism import extend_homomorphisms, ground_matches
 from .interpretation import Interpretation
 from .rules import NDTGD, NTGD, DisjunctiveRuleSet, RuleSet
 
@@ -69,20 +70,20 @@ class Trigger:
         return f"<{self.rule} | {binding}>"
 
 
-def _index_of(atoms: Iterable[Atom] | Interpretation | Database | AtomIndex) -> AtomIndex:
-    if isinstance(atoms, RelationIndex):  # covers AtomIndex and any engine index
+def _index_of(atoms: Iterable[Atom] | Interpretation | Database | RelationIndex) -> RelationIndex:
+    if isinstance(atoms, RelationIndex):
         return atoms
     if isinstance(atoms, Interpretation):
-        return AtomIndex(atoms.positive)
+        return RelationIndex(atoms.positive)
     if isinstance(atoms, Database):
-        return AtomIndex(atoms.atoms)
-    return AtomIndex(atoms)
+        return RelationIndex(atoms.atoms)
+    return RelationIndex(atoms)
 
 
 def triggers(
     rule: NTGD,
-    atoms: Iterable[Atom] | Interpretation | Database | AtomIndex,
-    negative_against: Optional[Iterable[Atom] | Interpretation | AtomIndex] = None,
+    atoms: Iterable[Atom] | Interpretation | Database | RelationIndex,
+    negative_against: Optional[Iterable[Atom] | Interpretation | RelationIndex] = None,
 ) -> Iterator[Trigger]:
     """All triggers of *rule* over *atoms*.
 
@@ -97,7 +98,7 @@ def triggers(
 
 
 def _head_satisfied(
-    rule: NTGD, assignment: dict, index: AtomIndex
+    rule: NTGD, assignment: dict, index: RelationIndex
 ) -> bool:
     extensions = extend_homomorphisms(list(rule.head), index, partial=assignment)
     return next(extensions, None) is not None
@@ -105,8 +106,8 @@ def _head_satisfied(
 
 def active_triggers(
     rule: NTGD,
-    atoms: Iterable[Atom] | Interpretation | Database | AtomIndex,
-    negative_against: Optional[Iterable[Atom] | Interpretation | AtomIndex] = None,
+    atoms: Iterable[Atom] | Interpretation | Database | RelationIndex,
+    negative_against: Optional[Iterable[Atom] | Interpretation | RelationIndex] = None,
 ) -> Iterator[Trigger]:
     """Triggers whose head is *not* yet satisfied in *atoms* (chase-style)."""
     index = _index_of(atoms)
@@ -133,7 +134,7 @@ def satisfies_rules(
     return all(satisfies_rule_indexed(index, rule) for rule in rules)
 
 
-def satisfies_rule_indexed(index: AtomIndex, rule: NTGD) -> bool:
+def satisfies_rule_indexed(index: RelationIndex, rule: NTGD) -> bool:
     for trigger in triggers(rule, index):
         if not _head_satisfied(rule, trigger.as_dict(), index):
             return False

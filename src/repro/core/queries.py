@@ -16,7 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 from ..errors import SafetyError
 from .atoms import Atom, Literal, Predicate, apply_substitution
-from .homomorphism import AtomIndex, extend_homomorphisms
+from ..engine.index import RelationIndex
+from .homomorphism import extend_homomorphisms
 from .interpretation import Interpretation
 from .terms import Constant, Term, Variable
 
@@ -115,7 +116,7 @@ class ConjunctiveQuery:
             if isinstance(interpretation, Interpretation)
             else frozenset(interpretation)
         )
-        index = AtomIndex(atoms)
+        index = RelationIndex(atoms)
         answers: set[tuple[Term, ...]] = set()
         for assignment in extend_homomorphisms(
             list(self.positive_atoms), index, None, self.negative_atoms

@@ -20,7 +20,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from ..core.atoms import Atom, apply_substitution
 from ..core.database import Database
-from ..core.homomorphism import AtomIndex, extend_homomorphisms, ground_matches
+from ..core.homomorphism import extend_homomorphisms, ground_matches
+from ..engine.index import RelationIndex
 from ..core.interpretation import Interpretation
 from ..core.modelcheck import is_model_disjunctive
 from ..core.queries import ConjunctiveQuery
@@ -75,11 +76,11 @@ def find_smaller_disjunctive_reduct_model(
     base = frozenset(database.atoms)
     if not base <= full:
         return None
-    full_index = AtomIndex(full)
+    full_index = RelationIndex(full)
     rule_list = list(_as_rules(rules))
     visited: set[frozenset[Atom]] = set()
 
-    def violated_trigger(current_index: AtomIndex):
+    def violated_trigger(current_index: RelationIndex):
         for rule in rule_list:
             for match in ground_matches(
                 rule.body, current_index, negative_against=full_index
@@ -105,7 +106,7 @@ def find_smaller_disjunctive_reduct_model(
         visited.add(current)
         if len(visited) > max_states:
             raise SolverLimitError("disjunctive stability check exceeded max_states")
-        current_index = AtomIndex(current)
+        current_index = RelationIndex(current)
         violation = violated_trigger(current_index)
         if violation is None:
             return current if current < full else None
@@ -223,7 +224,7 @@ def enumerate_disjunctive_stable_models(
         visited.add(key)
         if len(visited) > max_states:
             raise SolverLimitError("disjunctive generation exceeded max_states")
-        index = AtomIndex(atoms)
+        index = RelationIndex(atoms)
         successors: list[frozenset[Atom]] = []
         for rule in rule_set:
             for match in ground_matches(rule.body, index):

@@ -29,7 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..core.atoms import Atom, Literal, Predicate
 from ..core.database import Database
-from ..core.homomorphism import AtomIndex, extend_homomorphisms
+from ..core.homomorphism import extend_homomorphisms
+from ..engine.index import RelationIndex
 from ..core.interpretation import Interpretation
 from ..core.modelcheck import satisfies_rules
 from ..core.queries import ConjunctiveQuery
@@ -59,7 +60,7 @@ class DenialConstraint:
             raise ValueError("a denial constraint needs at least one atom")
 
     def violated_by(self, atoms: Iterable[Atom]) -> bool:
-        index = AtomIndex(atoms)
+        index = RelationIndex(atoms)
         return next(extend_homomorphisms(list(self.atoms), index), None) is not None
 
 

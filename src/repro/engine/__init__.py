@@ -13,17 +13,17 @@ loops.  It has five parts:
   and the API edge — storage, delta logs, pattern tables, joins — handles
   plain integer rows;
 * :mod:`~repro.engine.index` — :class:`RelationIndex`, a multi-key hash index
-  over ground atoms with delta tracking (``added_since``), replacing the old
-  predicate-only ``AtomIndex``; versioned via :meth:`RelationIndex.snapshot`
+  over ground atoms with delta tracking (``added_since``); versioned via
+  :meth:`RelationIndex.snapshot`
   (immutable :class:`RelationSnapshot` views sharing pattern tables
   copy-on-write) and :meth:`RelationSnapshot.fork` (throwaway
   :class:`OverlayRelationIndex` branches layering additions and tombstones
   over a shared base);
 * :mod:`~repro.engine.planner` — join planning: :class:`CompiledRule` and the
   greedy bound-connectivity / smallest-relation-first literal ordering, plus
-  the index-backed join executor :func:`enumerate_matches` and its row-plane
-  core :class:`EncodedRule` / :func:`enumerate_bindings` (slot bindings over
-  interned ids; assignments are decoded only at yield);
+  the one join executor, :class:`EncodedRule` / :func:`enumerate_bindings`
+  (slot bindings over interned ids), with :func:`enumerate_matches` as its
+  object-level edge (assignments are decoded only at yield);
 * :mod:`~repro.engine.seminaive` — the generic semi-naive :func:`fixpoint`
   driver (delta rules, no rederivation) and the counter-propagation
   :class:`GroundProgramEvaluator` for ground programs;
@@ -48,10 +48,7 @@ from .index import (
     RelationIndex,
     RelationSnapshot,
     Tick,
-    VersionedRelationIndex,
     is_flexible,
-    match_atom,
-    match_terms,
     resolve_term,
 )
 from .intern import Row, SymbolTable, TupleRelation, global_symbols
@@ -86,7 +83,6 @@ __all__ = [
     "SymbolTable",
     "Tick",
     "TupleRelation",
-    "VersionedRelationIndex",
     "ViewDelta",
     "compile_rule",
     "encode_rule",
@@ -95,8 +91,6 @@ __all__ = [
     "fixpoint",
     "global_symbols",
     "is_flexible",
-    "match_atom",
-    "match_terms",
     "order_body",
     "resolve_term",
 ]

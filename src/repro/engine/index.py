@@ -1,8 +1,7 @@
 """Multi-key relation indexing with delta tracking and versioned storage.
 
 :class:`RelationIndex` is the storage-facing half of the evaluation engine.
-It generalises the predicate-only ``AtomIndex`` the codebase started with in
-three directions:
+It adds three things to a plain set of atoms:
 
 * **multi-key hash indexes** — for every *access pattern* (a predicate plus a
   set of argument positions that are bound at lookup time) the index lazily
@@ -44,10 +43,9 @@ The underlying tuple store is pluggable (see :mod:`repro.engine.backend`);
 hash indexes and the delta log always live in memory, they are access-path
 metadata, not primary storage.
 
-This module also hosts the term/atom matching primitives (``match_terms`` /
-``match_atom``); they are re-exported by :mod:`repro.core.homomorphism` for
-backward compatibility but live here so every engine layer can use them
-without import cycles.
+This module also hosts the term helpers the engine layers share
+(``is_flexible``, ``resolve_term``), here so every layer can use them without
+import cycles.
 """
 
 from __future__ import annotations
@@ -76,10 +74,7 @@ __all__ = [
     "RelationIndex",
     "RelationSnapshot",
     "OverlayRelationIndex",
-    "VersionedRelationIndex",
     "Tick",
-    "match_terms",
-    "match_atom",
     "is_flexible",
     "resolve_term",
 ]
@@ -94,51 +89,6 @@ _LogEntry = Optional[Tuple[Predicate, Row]]
 def is_flexible(term: Term) -> bool:
     """Source terms that may be (re)mapped: variables and labelled nulls."""
     return isinstance(term, (Variable, Null))
-
-
-def match_terms(
-    pattern: Term, target: Term, assignment: Assignment
-) -> Optional[Assignment]:
-    """Try to extend *assignment* so that *pattern* maps onto *target*.
-
-    Returns the extended assignment, or ``None`` if matching is impossible.
-    The input assignment is never mutated.
-    """
-    if is_flexible(pattern):
-        bound = assignment.get(pattern)
-        if bound is None:
-            extended = dict(assignment)
-            extended[pattern] = target
-            return extended
-        return assignment if bound == target else None
-    if isinstance(pattern, Constant):
-        return assignment if pattern == target else None
-    if isinstance(pattern, FunctionTerm):
-        if not isinstance(target, FunctionTerm) or pattern.function != target.function:
-            return None
-        if len(pattern.arguments) != len(target.arguments):
-            return None
-        current: Optional[Assignment] = assignment
-        for sub_pattern, sub_target in zip(pattern.arguments, target.arguments):
-            current = match_terms(sub_pattern, sub_target, current)
-            if current is None:
-                return None
-        return current
-    raise TypeError(f"unexpected pattern term {pattern!r}")  # pragma: no cover
-
-
-def match_atom(
-    pattern: Atom, target: Atom, assignment: Assignment
-) -> Optional[Assignment]:
-    """Try to extend *assignment* so that *pattern* maps onto *target*."""
-    if pattern.predicate != target.predicate:
-        return None
-    current: Optional[Assignment] = assignment
-    for pattern_term, target_term in zip(pattern.terms, target.terms):
-        current = match_terms(pattern_term, target_term, current)
-        if current is None:
-            return None
-    return current
 
 
 def resolve_term(term: Term, assignment: Mapping[Term, Term]) -> Optional[Term]:
@@ -263,9 +213,7 @@ class RelationIndex:
 
     This is the **mutable head** of a storage branch; :meth:`snapshot` splits
     off an immutable :class:`RelationSnapshot` view and :meth:`fork` a
-    writable :class:`OverlayRelationIndex` branch.  ``VersionedRelationIndex``
-    is an alias for this class, used where the versioning surface is the
-    point.
+    writable :class:`OverlayRelationIndex` branch.
 
     Parameters
     ----------
@@ -609,8 +557,9 @@ class RelationIndex:
         variables/nulls, fully resolvable function terms) select a hash index,
         built lazily on first use for that access pattern; with no bound
         position this degrades to the per-predicate scan.  The returned atoms
-        are a superset filter — callers still run :func:`match_atom` — but for
-        hash-indexed positions the filtering is exact.
+        are a superset filter (a function term with unbound flexibles inside
+        does not narrow the lookup); for hash-indexed positions the
+        filtering is exact.
 
         A bound value the symbol table has never interned short-circuits to
         the empty result: nothing stored can match a term no stored atom has
@@ -979,7 +928,3 @@ class OverlayRelationIndex(RelationIndex):
         snap._stats = self._stats
         return snap
 
-
-#: The canonical name for the versioned storage surface: a
-#: :class:`RelationIndex` head with ``snapshot()``/``fork()`` branching.
-VersionedRelationIndex = RelationIndex

@@ -80,7 +80,7 @@ class SymbolTable:
     and lets snapshots/forks/checkpoints share encoded rows freely.
     """
 
-    __slots__ = ("_lock", "_ids", "_terms", "_atoms", "_functions")
+    __slots__ = ("_lock", "_ids", "_terms", "_atoms", "_functions", "_shapes")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -94,6 +94,9 @@ class SymbolTable:
         #: lets Skolem-term heads be built without constructing the term
         #: object except on first occurrence.
         self._functions: Dict[Tuple[str, Row], int] = {}
+        #: id -> (function name, argument ids), or None for non-functions —
+        #: the memo behind :meth:`function_of`.
+        self._shapes: Dict[int, Optional[Tuple[str, Row]]] = {}
 
     # ---------------------------------------------------------------- terms
     def encode_term(self, term: Term) -> int:
@@ -142,6 +145,28 @@ class SymbolTable:
         with self._lock:
             self._functions.setdefault(key, tid)
         return tid
+
+    def function_of(self, tid: int) -> Optional[Tuple[str, Row]]:
+        """``(function name, argument ids)`` of the function term *tid*.
+
+        ``None`` when *tid* is not a function term.  Memoised per id: the
+        join executor's destructure steps call this once per candidate row
+        to match stored function terms against patterns with variables
+        inside (interning the arguments on first sight).
+        """
+        try:
+            return self._shapes[tid]
+        except KeyError:
+            pass
+        term = self._terms[tid]
+        shape = None
+        if isinstance(term, FunctionTerm):
+            shape = (
+                term.function,
+                tuple(self.encode_term(argument) for argument in term.arguments),
+            )
+        self._shapes[tid] = shape
+        return shape
 
     # ---------------------------------------------------------------- atoms
     def encode_atom(self, atom: Atom) -> Row:

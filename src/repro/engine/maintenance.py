@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.atoms import Atom, Predicate, apply_substitution
+from ..core.atoms import Atom, Predicate
 from ..errors import SolverLimitError
 from ..obs.trace import get_tracer
 from .index import RelationIndex
@@ -66,7 +66,6 @@ from .planner import (
     compile_rule,
     encode_rule,
     enumerate_bindings,
-    enumerate_matches,
 )
 from .stats import EngineStatistics
 
@@ -94,10 +93,9 @@ class SupportTable:
     ``base`` holds the extensional facts (self-supporting; deletable) and
     ``protected`` the ground heads of the program's fact rules (derived
     unconditionally — never deletable).  Records are registered through
-    :meth:`record` (the ``on_fire`` hook of the fixpoint driver) or
-    :meth:`record_firing`; re-discovery of a known firing is a no-op, which
-    is what makes the table exact under semi-naive evaluation's overlapping
-    delta rules.
+    :meth:`record` (the ``on_fire`` hook of the fixpoint driver);
+    re-discovery of a known firing is a no-op, which is what makes the table
+    exact under semi-naive evaluation's overlapping delta rules.
     """
 
     __slots__ = (
@@ -135,16 +133,6 @@ class SupportTable:
             self._rule_refs.append(source)
         return rid
 
-    def record(self, rule: CompiledRule, assignment: dict) -> None:
-        """The ``on_fire`` hook: register a firing, ignoring duplicates."""
-        self.record_firing(rule, assignment)
-
-    def record_binding(
-        self, rule: CompiledRule, encoded: Optional[EncodedRule], payload
-    ) -> None:
-        """The ``on_fire_bindings`` hook: register a row-plane firing."""
-        self.record_firing_binding(rule, encoded, payload)
-
     def _insert(
         self,
         key: SupportKey,
@@ -161,55 +149,26 @@ class SupportTable:
         if self._stats is not None:
             self._stats.supports_recorded += 1
 
-    def record_firing(
-        self, rule: CompiledRule, assignment: dict
+    def record(
+        self, rule: CompiledRule, encoded: EncodedRule, binding
     ) -> List[Tuple[SupportKey, Atom]]:
-        """Register a firing; return the ``(key, head)`` pairs that were new."""
-        body = tuple(
-            apply_substitution(atom, assignment) for atom in rule.positive
-        )
-        rid = self._rule_id(rule)
-        fresh: List[Tuple[SupportKey, Atom]] = []
-        negative: Optional[Tuple[Atom, ...]] = None
-        for template in rule.heads:
-            head = apply_substitution(template, assignment)
-            if not head.is_ground:
-                continue
-            key: SupportKey = (rid, head, body)
-            if key in self.derivations:
-                continue
-            if negative is None:
-                negative = tuple(
-                    apply_substitution(atom, assignment) for atom in rule.negative
-                )
-            self._insert(key, head, body, negative)
-            fresh.append((key, head))
-        return fresh
+        """The ``on_fire`` hook: register a firing, ignoring duplicates.
 
-    def record_firing_binding(
-        self, rule: CompiledRule, encoded: Optional[EncodedRule], payload
-    ) -> List[Tuple[SupportKey, Atom]]:
-        """Row-plane :meth:`record_firing`: *payload* is a slot binding.
-
-        The ground body/head/negative atoms are reconstructed through the
-        symbol table's canonical decode cache (two dict probes per atom after
-        warm-up), so support bookkeeping for interned-executor firings never
-        runs ``apply_substitution`` over term objects.  With ``encoded is
-        None`` the payload is an assignment dict and this delegates to the
-        object-plane path.
+        *binding* is the firing's interned slot binding; the ground
+        body/head/negative atoms are reconstructed through the symbol
+        table's canonical decode cache (two dict probes per atom after
+        warm-up).  Returns the ``(key, head)`` pairs that were new.
         """
-        if encoded is None:
-            return self.record_firing(rule, payload)
-        body = encoded.build_positive_atoms(payload)
+        body = encoded.build_positive_atoms(binding)
         rid = self._rule_id(rule)
         fresh: List[Tuple[SupportKey, Atom]] = []
         negative: Optional[Tuple[Atom, ...]] = None
-        for head in encoded.build_head_atoms(payload):
+        for head in encoded.build_head_atoms(binding):
             key: SupportKey = (rid, head, body)
             if key in self.derivations:
                 continue
             if negative is None:
-                negative = encoded.build_negative_atoms(payload)
+                negative = encoded.build_negative_atoms(binding)
             self._insert(key, head, body, negative)
             fresh.append((key, head))
         return fresh
@@ -374,7 +333,7 @@ class MaterializedView:
             stratification=self._strat,
             statistics=statistics,
             max_atoms=max_atoms,
-            on_fire_bindings=self._support.record_binding,
+            on_fire=self._support.record,
         )
         # Net-change bookkeeping of the apply_delta call in flight.
         self._call_added: Set[Atom] = set()
@@ -763,7 +722,7 @@ class MaterializedView:
                 # it must still drive the delta joins below, or the
                 # derivations dropped by the delete phase stay lost.
                 readded.append(atom)
-        pending: List[Tuple[CompiledRule, Optional[EncodedRule], object]] = []
+        pending: List[Tuple[CompiledRule, EncodedRule, tuple]] = []
         # Deletions below a negation re-open derivations the negation had
         # suppressed; those rules are re-evaluated in full against the
         # repaired state (their join is part of the affected cone).
@@ -800,43 +759,26 @@ class MaterializedView:
         delta: Optional[List[Atom]] = None,
         delta_position: Optional[int] = None,
     ):
-        """Enumerate one rule's firings, preferring the interned executor.
-
-        Yields ``(compiled, encoded, slot-binding tuple)`` when the rule is
-        encodable (the support table records these through
-        :meth:`SupportTable.record_firing_binding` without ever decoding an
-        assignment) and ``(compiled, None, assignment)`` on the object-path
-        fallback.
-        """
+        """Enumerate one rule's firings as ``(compiled, encoded, binding)``."""
         symbols = self._index.symbols
         encoded = encode_rule(compiled, symbols)
-        if encoded.encodable:
-            delta_rows = None
-            if delta_position is not None:
-                encode = symbols.encode_atom
-                delta_rows = [(atom.predicate, encode(atom)) for atom in delta]
-            for binding in enumerate_bindings(
-                encoded,
-                self._index,
-                delta_rows=delta_rows,
-                delta_position=delta_position,
-                statistics=self._stats,
-            ):
-                yield (compiled, encoded, tuple(binding))
-        else:
-            for assignment in enumerate_matches(
-                compiled,
-                self._index,
-                delta=delta,
-                delta_position=delta_position,
-                statistics=self._stats,
-            ):
-                yield (compiled, None, assignment)
+        delta_rows = None
+        if delta_position is not None:
+            encode = symbols.encode_atom
+            delta_rows = [(atom.predicate, encode(atom)) for atom in delta]
+        for binding in enumerate_bindings(
+            encoded,
+            self._index,
+            delta_rows=delta_rows,
+            delta_position=delta_position,
+            statistics=self._stats,
+        ):
+            yield (compiled, encoded, tuple(binding))
 
     def _delta_join(
         self, stratum: int, grouped: Dict[Predicate, List[Atom]]
-    ) -> List[Tuple[CompiledRule, Optional[EncodedRule], object]]:
-        pending: List[Tuple[CompiledRule, Optional[EncodedRule], object]] = []
+    ) -> List[Tuple[CompiledRule, EncodedRule, tuple]]:
+        pending: List[Tuple[CompiledRule, EncodedRule, tuple]] = []
         for predicate, atoms in grouped.items():
             for site_stratum, compiled, position in self._positive_sites.get(
                 predicate, ()
@@ -849,13 +791,11 @@ class MaterializedView:
         return pending
 
     def _process_firings(
-        self, pending: List[Tuple[CompiledRule, Optional[EncodedRule], object]]
+        self, pending: List[Tuple[CompiledRule, EncodedRule, tuple]]
     ) -> List[Atom]:
         fresh: List[Atom] = []
-        for compiled, encoded, payload in pending:
-            for _, head in self._support.record_firing_binding(
-                compiled, encoded, payload
-            ):
+        for compiled, encoded, binding in pending:
+            for _, head in self._support.record(compiled, encoded, binding):
                 if self._add_atom(head):
                     fresh.append(head)
         return fresh

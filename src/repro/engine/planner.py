@@ -20,11 +20,11 @@ positive and negative body atoms, the set of flexible terms per literal) so
 repeated evaluation — fixpoint rounds, chase rounds, stability probes — pays
 the analysis once.  :func:`compile_rule` memoises per rule object.
 
-The actual join execution (:func:`enumerate_matches`) performs index-backed
-backtracking: candidate atoms for each literal are fetched through
-``candidates_for`` using the bound positions of the current prefix, which is
-what turns the written-order nested-loop of the seed implementation into an
-index nested-loop join.
+The join executor (:func:`enumerate_bindings`) runs every rule, pattern and
+homomorphism check on interned rows: each literal probes the pattern hash
+table of ``RelationIndex.rows_for`` keyed on the ids bound by the current
+prefix, which turns the written-order nested loop of a naive matcher into an
+index nested-loop join.  :func:`enumerate_matches` is its object-level edge.
 
 Paper provenance: the planner is the engine-side realisation of the
 homomorphism machinery of **Section 2** — matching a rule body (or query) is
@@ -43,10 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.atoms import Atom, Literal, apply_substitution
+from ..core.atoms import Atom, Predicate
 from ..core.terms import FunctionTerm, Null, Term
 from ..obs.trace import get_tracer
-from .index import Assignment, RelationIndex, is_flexible, match_atom, resolve_term
+from .index import Assignment, RelationIndex, is_flexible
 from .intern import Row, SymbolTable
 from .stats import EngineStatistics
 
@@ -241,8 +241,14 @@ def order_body(
 #
 #   entry >= 0      the interned id of a fixed ground term (constants and
 #                   variable-free function terms, interned at encode time);
-#   entry <  0      flexible slot ``-(entry + 1)`` — a variable or a
-#                   pattern null, bound during the join.
+#   entry <  0      slot ``-(entry + 1)``: a variable or pattern null bound
+#                   during the join, or a *function slot* standing for a
+#                   function term with flexibles inside.  A function slot
+#                   binds to the stored id like any other slot; a destructure
+#                   step then splits that id into ``(function, argument ids)``
+#                   through ``SymbolTable.function_of`` and binds or compares
+#                   the argument entries, which are coded the same way (a
+#                   nested function term is one more function slot).
 #
 # Head and negative-literal terms use *specs*, which additionally know how
 # to rebuild values the join never bound:
@@ -258,12 +264,6 @@ def order_body(
 #                       bottom-up through ``SymbolTable.encode_function``
 #                       (the Skolem-head fast path: no term objects after
 #                       the first occurrence)
-#
-# A rule whose *positive body* contains a function term with flexibles
-# inside is not encodable (matching it requires structural decomposition of
-# stored terms); ``enumerate_matches`` transparently falls back to the
-# object-plane backtracker for those, so the encoded path is a pure
-# optimisation, never a semantics change.
 
 _Spec = Union[int, Tuple[int, int], Tuple[str, tuple]]
 
@@ -294,9 +294,11 @@ class EncodedRule:
 
     Flexible terms (variables and pattern nulls) across the positive body,
     the negative body and the heads are numbered into dense **slots** in
-    first-occurrence order; a join binding is then a flat
-    ``list[Optional[int]]`` indexed by slot — no term-keyed dict is
-    allocated anywhere between the storage boundary and the API edge.
+    first-occurrence order, followed by one function slot per distinct
+    function term with flexibles inside a positive literal.  A join binding
+    is then a flat ``list[Optional[int]]`` indexed by slot — no term-keyed
+    dict is allocated anywhere between the storage boundary and the API
+    edge.
     """
 
     __slots__ = (
@@ -304,10 +306,11 @@ class EncodedRule:
         "symbols",
         "slots",
         "slot_of",
+        "functions",
+        "width",
         "positive",
         "negatives",
         "head_specs",
-        "encodable",
         "_plans",
     )
 
@@ -317,20 +320,45 @@ class EncodedRule:
         self.slot_of: Dict[Term, int] = {}
         slots: List[Term] = []
 
-        def slot_code(term: Term) -> int:
-            slot = self.slot_of.get(term)
-            if slot is None:
-                slot = len(slots)
-                self.slot_of[term] = slot
-                slots.append(term)
-            return -slot - 1
+        def number(term: Term) -> None:
+            if is_flexible(term):
+                if term not in self.slot_of:
+                    self.slot_of[term] = len(slots)
+                    slots.append(term)
+            elif isinstance(term, FunctionTerm):
+                for argument in term.arguments:
+                    number(argument)
+
+        for atom in (*compiled.positive, *compiled.negative, *compiled.heads):
+            for term in atom.terms:
+                number(term)
+        self.slots = tuple(slots)
+
+        #: function slot -> (function name, argument entries)
+        self.functions: Dict[int, Tuple[str, Tuple[int, ...]]] = {}
+        function_slot: Dict[Term, int] = {}
+
+        def entry_of(term: Term) -> int:
+            if is_flexible(term):
+                return -self.slot_of[term] - 1
+            if isinstance(term, FunctionTerm) and _flexible_terms_of_term(term):
+                slot = function_slot.get(term)
+                if slot is None:
+                    slot = len(slots) + len(function_slot)
+                    function_slot[term] = slot
+                    self.functions[slot] = (
+                        term.function,
+                        tuple(entry_of(argument) for argument in term.arguments),
+                    )
+                return -slot - 1
+            return symbols.encode_term(term)
 
         def spec_of(term: Term) -> _Spec:
             if is_flexible(term):
-                code = slot_code(term)
+                slot = self.slot_of[term]
                 if type(term) is Null:
-                    return (-code - 1, symbols.encode_term(term))
-                return code
+                    return (slot, symbols.encode_term(term))
+                return -slot - 1
             if isinstance(term, FunctionTerm) and _flexible_terms_of_term(term):
                 return (
                     term.function,
@@ -338,42 +366,24 @@ class EncodedRule:
                 )
             return symbols.encode_term(term)
 
-        encodable = True
-        positive: List[Tuple[Atom, tuple]] = []
-        for atom in compiled.positive:
-            entries: List[int] = []
-            for term in atom.terms:
-                if is_flexible(term):
-                    entries.append(slot_code(term))
-                elif _flexible_terms_of_term(term):
-                    encodable = False
-                    break
-                else:
-                    entries.append(symbols.encode_term(term))
-            else:
-                positive.append((atom.predicate, tuple(entries)))
-                continue
-            break
-        self.encodable = encodable and bool(compiled.positive)
-        self.positive = tuple(positive) if self.encodable else ()
-        if self.encodable:
-            self.negatives = tuple(
-                (atom, atom.predicate, tuple(spec_of(term) for term in atom.terms))
-                for atom in compiled.negative
-            )
-            self.head_specs = tuple(
-                (atom.predicate, tuple(spec_of(term) for term in atom.terms))
-                for atom in compiled.heads
-            )
-        else:
-            self.negatives = ()
-            self.head_specs = ()
-        self.slots = tuple(slots)
+        self.positive: Tuple[Tuple[Predicate, Tuple[int, ...]], ...] = tuple(
+            (atom.predicate, tuple(entry_of(term) for term in atom.terms))
+            for atom in compiled.positive
+        )
+        self.width = len(slots) + len(function_slot)
+        self.negatives = tuple(
+            (atom, atom.predicate, tuple(spec_of(term) for term in atom.terms))
+            for atom in compiled.negative
+        )
+        self.head_specs = tuple(
+            (atom.predicate, tuple(spec_of(term) for term in atom.terms))
+            for atom in compiled.heads
+        )
         #: (plan, initially-bound slots) -> compiled step list
         self._plans: Dict[tuple, tuple] = {}
 
     def new_binding(self) -> List[Optional[int]]:
-        return [None] * len(self.slots)
+        return [None] * self.width
 
     def build_head_rows(
         self, binding: Sequence[Optional[int]]
@@ -435,7 +445,7 @@ class EncodedRule:
         binding: Sequence[Optional[int]],
         partial: Optional[Mapping[Term, Term]] = None,
     ) -> Assignment:
-        """The object-plane :data:`Assignment` equivalent of *binding*."""
+        """The object-level :data:`Assignment` equivalent of *binding*."""
         result: Assignment = dict(partial) if partial else {}
         decode = self.symbols.decode_term
         for slot, term in enumerate(self.slots):
@@ -449,9 +459,14 @@ class EncodedRule:
     ) -> tuple:
         """The per-literal probe programme for *plan* given pre-bound slots.
 
-        Each step is ``(predicate, bound positions, key builders, static
-        key, unbound (position, slot) pairs)``; builders reuse the literal
-        entry coding (id or negative slot code).
+        A **probe step** is ``(predicate, bound positions, key builders,
+        static key, unbound (position, slot) pairs)``; builders reuse the
+        literal entry coding (id or negative slot code).  A **destructure
+        step** is ``(None, function slot, function name, argument entries,
+        ())`` — same width, so the executor unpacks both kinds alike — and
+        directly follows the step that bound its function slot;
+        function slots bound up front (by a semi-naive delta literal) are
+        destructured before the first probe.
         """
         cache_key = (plan, bound_slots)
         steps = self._plans.get(cache_key)
@@ -459,6 +474,24 @@ class EncodedRule:
             return steps
         bound = set(bound_slots)
         built: List[tuple] = []
+        functions = self.functions
+
+        def destructure(new_slots: Sequence[int]) -> None:
+            for slot in dict.fromkeys(new_slots):
+                shape = functions.get(slot)
+                if shape is None:
+                    continue
+                name, entries = shape
+                built.append((None, slot, name, entries, ()))
+                fresh = [
+                    -entry - 1
+                    for entry in entries
+                    if entry < 0 and -entry - 1 not in bound
+                ]
+                bound.update(fresh)
+                destructure(fresh)
+
+        destructure(sorted(bound_slots))
         for literal_index in plan:
             predicate, entries = self.positive[literal_index]
             positions: List[int] = []
@@ -487,6 +520,7 @@ class EncodedRule:
             built.append(
                 (predicate, tuple(positions), tuple(builders), static_key, tuple(unbound))
             )
+            destructure(new_slots)
         steps = tuple(built)
         self._plans[cache_key] = steps
         return steps
@@ -508,23 +542,43 @@ def encode_rule(compiled: CompiledRule, symbols: SymbolTable) -> EncodedRule:
     return encoded
 
 
+def check_negation_oracle(index: RelationIndex, negative_against: RelationIndex) -> None:
+    """Reject a ``negative_against`` oracle interned on another symbol table.
+
+    Rows of two tables carry unrelated ids, so absence checks against such
+    an oracle would compare meaningless integers.
+    """
+    if negative_against.symbols is not index.symbols:
+        raise ValueError(
+            "negative_against is encoded on a different SymbolTable than the "
+            "index; ids from two tables cannot be compared"
+        )
+
+
 def enumerate_bindings(
     encoded: EncodedRule,
     index: RelationIndex,
     *,
     binding: Optional[List[Optional[int]]] = None,
     negative_against=None,
-    delta_rows: Optional[Sequence[Tuple["Predicate", Row]]] = None,
+    delta_rows: Optional[Sequence[Tuple[Predicate, Row]]] = None,
     delta_position: Optional[int] = None,
     statistics: Optional[EngineStatistics] = None,
 ) -> Iterator[List[Optional[int]]]:
     """Enumerate slot bindings matching the encoded body into *index*.
 
-    The row-plane twin of :func:`enumerate_matches`: the same greedy plan
-    (:func:`order_body`), the same pattern hash tables
-    (``RelationIndex.rows_for``), but every probe key, every candidate and
-    every binding is a flat int structure.  **Yields the live binding
-    list** — callers that retain bindings across iterations must copy
+    This is ``q(I)`` of Section 2 — the homomorphisms of the body into the
+    indexed interpretation — as an index nested-loop join in the greedy
+    order of :func:`order_body`: every probe key, every candidate and every
+    binding is a flat int structure (``RelationIndex.rows_for``).  With
+    ``delta_rows``/``delta_position`` the literal at that position is
+    matched only against the delta rows (the semi-naive restriction).
+    Negative atoms are checked for absence against *negative_against*
+    (default: *index*, which must share its symbol table) once the positive
+    part is bound; a non-ground negative image raises ``ValueError``
+    (unsafe pattern).  A rule with no positive literal runs a zero-step
+    plan: only the negative check.  **Yields the live binding list** —
+    callers that retain bindings across iterations must copy
     (``tuple(b)``).
     """
     compiled = encoded.compiled
@@ -532,10 +586,12 @@ def enumerate_bindings(
     check = negative_against if negative_against is not None else index
     if binding is None:
         binding = encoded.new_binding()
-    bound_slots = frozenset(
-        slot for slot, value in enumerate(binding) if value is not None
-    )
-    bound_terms = frozenset(encoded.slots[slot] for slot in bound_slots)
+        bound_slots = bound_terms = frozenset()
+    else:
+        bound_slots = frozenset(
+            slot for slot, value in enumerate(binding) if value is not None
+        )
+        bound_terms = frozenset(encoded.slots[slot] for slot in bound_slots)
     negatives = encoded.negatives
     rows_for = index.rows_for
     rows_of = index.rows_of
@@ -560,6 +616,29 @@ def enumerate_bindings(
                 yield binding
             return
         predicate, positions, builders, static_key, unbound = steps[depth]
+        if predicate is None:
+            # Destructure step: (None, function slot, name, entries, ()).
+            shape = symbols.function_of(binding[positions])
+            if shape is None or shape[0] != builders or len(shape[1]) != len(static_key):
+                return
+            fresh: List[int] = []
+            for entry, value in zip(static_key, shape[1]):
+                if entry >= 0:
+                    if entry != value:
+                        break
+                else:
+                    slot = -entry - 1
+                    current = binding[slot]
+                    if current is None:
+                        binding[slot] = value
+                        fresh.append(slot)
+                    elif current != value:
+                        break
+            else:
+                yield from run(steps, depth + 1)
+            for slot in fresh:
+                binding[slot] = None
+            return
         if positions:
             key = static_key
             if key is None:
@@ -651,100 +730,36 @@ def enumerate_matches(
 ) -> Iterator[Assignment]:
     """Enumerate assignments matching the compiled body into *index*.
 
-    This is ``q(I)`` of Section 2 — the homomorphisms of the body into the
-    indexed interpretation — executed as an index nested-loop join.  With
-    ``delta``/``delta_position`` the literal at that position is matched
-    only against the delta atoms (the semi-naive restriction); the remaining
-    literals join against the full index.  Negative body atoms are checked for
-    absence against ``negative_against`` (default: *index*) once the positive
-    part is fully bound; a non-ground negative image raises ``ValueError``
-    (unsafe pattern), mirroring the classic matcher.
-
-    Encodable rules (everything except positive bodies with non-ground
-    function terms) run on the interned row plane (see :class:`EncodedRule`)
-    and decode each solution back to an object-level assignment only at
-    yield; the object-plane backtracker below remains as the fallback.
+    The object-level edge of :func:`enumerate_bindings`: *partial* and the
+    *delta* atoms are encoded on the way in, and every solution is decoded
+    to an :data:`Assignment` (extending *partial*) at yield.
+    *negative_against* must share the index's symbol table
+    (``ValueError`` otherwise).
     """
-    symbols = getattr(index, "symbols", None)
-    if symbols is not None and (
-        negative_against is None
-        or getattr(negative_against, "symbols", None) is symbols
+    if negative_against is not None:
+        check_negation_oracle(index, negative_against)
+    symbols = index.symbols
+    encoded = encode_rule(compiled, symbols)
+    binding = None
+    if partial:
+        binding = encoded.new_binding()
+        slot_of = encoded.slot_of
+        for term, value in partial.items():
+            slot = slot_of.get(term)
+            if slot is not None:
+                binding[slot] = symbols.encode_term(value)
+    delta_rows = None
+    if delta_position is not None:
+        encode = symbols.encode_atom
+        delta_rows = [(atom.predicate, encode(atom)) for atom in (delta or ())]
+    decode_binding = encoded.decode_binding
+    for live in enumerate_bindings(
+        encoded,
+        index,
+        binding=binding,
+        negative_against=negative_against,
+        delta_rows=delta_rows,
+        delta_position=delta_position,
+        statistics=statistics,
     ):
-        encoded = encode_rule(compiled, symbols)
-        if encoded.encodable:
-            binding = encoded.new_binding()
-            if partial:
-                slot_of = encoded.slot_of
-                for term, value in partial.items():
-                    slot = slot_of.get(term)
-                    if slot is not None:
-                        binding[slot] = symbols.encode_term(value)
-            delta_rows = None
-            if delta_position is not None:
-                encode = symbols.encode_atom
-                delta_rows = [
-                    (atom.predicate, encode(atom)) for atom in (delta or ())
-                ]
-            decode_binding = encoded.decode_binding
-            for live in enumerate_bindings(
-                encoded,
-                index,
-                binding=binding,
-                negative_against=negative_against,
-                delta_rows=delta_rows,
-                delta_position=delta_position,
-                statistics=statistics,
-            ):
-                yield decode_binding(live, partial)
-            return
-
-    base: Assignment = dict(partial) if partial else {}
-    check = negative_against if negative_against is not None else index
-    negatives = compiled.negative
-
-    def verify_negatives(assignment: Assignment) -> bool:
-        for negative in negatives:
-            image = apply_substitution(negative, assignment)
-            if not image.is_ground:
-                raise ValueError(
-                    f"negative atom {negative} not fully bound (unsafe pattern)"
-                )
-            if image in check:
-                return False
-        return True
-
-    def backtrack(plan: Sequence[int], depth: int, assignment: Assignment) -> Iterator[Assignment]:
-        if depth == len(plan):
-            if verify_negatives(assignment):
-                yield dict(assignment)
-            return
-        pattern = compiled.positive[plan[depth]]
-        candidates = index.candidates_for(pattern, assignment)
-        if statistics is not None:
-            statistics.tuples_scanned += len(candidates)
-        for candidate in candidates:
-            extended = match_atom(pattern, candidate, assignment)
-            if extended is not None:
-                yield from backtrack(plan, depth + 1, extended)
-
-    if delta_position is None:
-        plan = order_body(compiled, index=index, bound=frozenset(base))
-        yield from backtrack(plan, 0, base)
-        return
-
-    first = compiled.positive[delta_position]
-    plan = order_body(
-        compiled,
-        index=index,
-        bound=frozenset(base) | compiled.positive_terms[delta_position],
-        skip=delta_position,
-    )
-    delta_atoms = delta if delta is not None else ()
-    if statistics is not None:
-        statistics.tuples_scanned += len(delta_atoms)
-    for candidate in delta_atoms:
-        if candidate.predicate != first.predicate:
-            continue
-        seeded = match_atom(first, candidate, base)
-        if seeded is not None:
-            yield from backtrack(plan, 0, seeded)
+        yield decode_binding(live, partial)

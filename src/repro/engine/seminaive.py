@@ -35,16 +35,16 @@ from collections import deque
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.atoms import Atom, apply_substitution
+from ..core.atoms import Atom
 from ..errors import SolverLimitError
 from .index import RelationIndex
 from .planner import (
     CompiledRule,
     EncodedRule,
+    check_negation_oracle,
     compile_rule,
     encode_rule,
     enumerate_bindings,
-    enumerate_matches,
 )
 from .stats import EngineStatistics
 
@@ -54,20 +54,14 @@ __all__ = ["fixpoint", "GroundProgramEvaluator"]
 DeriveCallback = Callable[[Atom, object, dict], None]
 
 #: opt-in callback invoked for EVERY enumerated rule firing — including
-#: firings that only re-derive an atom the index already holds.  This is the
-#: hook :mod:`repro.engine.maintenance` uses to build derivation-support
-#: tables (pass ``on_fire=SupportTable().record``); ``on_derive`` cannot serve
-#: that purpose because it fires only for *new* atoms, and incremental
-#: deletion needs to know about *alternative* derivations too.
-FireCallback = Callable[["CompiledRule", dict], None]
-
-#: row-plane twin of :data:`FireCallback`: invoked as ``(compiled, encoded,
-#: payload)`` where *payload* is an interned slot-binding tuple when *encoded*
-#: is an :class:`EncodedRule`, and a plain assignment dict when *encoded* is
-#: ``None`` (the rule ran on the object-path fallback).  Supplying this
-#: instead of ``on_fire`` keeps per-firing bookkeeping in the integer domain
-#: — no assignment dict is ever decoded for firings that merely re-derive.
-FireBindingCallback = Callable[["CompiledRule", Optional["EncodedRule"], object], None]
+#: firings that only re-derive an atom the index already holds — as
+#: ``(compiled, encoded, binding)`` with the interned slot-binding tuple.
+#: This is the hook :mod:`repro.engine.maintenance` uses to build
+#: derivation-support tables (pass ``on_fire=SupportTable().record``);
+#: ``on_derive`` cannot serve that purpose because it fires only for *new*
+#: atoms, and incremental deletion needs to know about *alternative*
+#: derivations too.
+FireCallback = Callable[[CompiledRule, EncodedRule, Tuple[Optional[int], ...]], None]
 
 
 def fixpoint(
@@ -77,7 +71,6 @@ def fixpoint(
     index: Optional[RelationIndex] = None,
     on_derive: Optional[DeriveCallback] = None,
     on_fire: Optional[FireCallback] = None,
-    on_fire_bindings: Optional[FireBindingCallback] = None,
     ignore_negation: bool = False,
     negative_against: Optional[RelationIndex] = None,
     max_atoms: Optional[int] = None,
@@ -103,25 +96,22 @@ def fixpoint(
         Invoked as ``on_derive(atom, rule, assignment)`` for every atom newly
         added by a rule firing (not for the seed facts).
     on_fire:
-        Invoked as ``on_fire(compiled_rule, assignment)`` for **every**
-        enumerated firing, whether or not its heads are new.  Semi-naive
-        evaluation enumerates each ground firing at least once (in the round
-        after its last body atom arrives) and possibly several times (once
-        per delta position of that round); callers that need exact support
-        sets must deduplicate — :class:`repro.engine.maintenance.SupportTable`
-        does.  Opt-in: when ``None`` (default) no per-firing work happens.
-    on_fire_bindings:
-        Row-plane alternative to ``on_fire`` (see
-        :data:`FireBindingCallback`); when both are given, only this one is
-        invoked.  Firings of interned-executor rules pass the raw slot
-        binding instead of a decoded assignment dict.
+        Invoked as ``on_fire(compiled_rule, encoded_rule, binding)`` for
+        **every** enumerated firing, whether or not its heads are new (see
+        :data:`FireCallback`).  Semi-naive evaluation enumerates each ground
+        firing at least once (in the round after its last body atom arrives)
+        and possibly several times (once per delta position of that round);
+        callers that need exact support sets must deduplicate —
+        :class:`repro.engine.maintenance.SupportTable` does.  Opt-in: when
+        ``None`` (default) no per-firing work happens.
     ignore_negation:
         Drop negative body literals (the positive-closure approximation).
     negative_against:
         When negation is kept, the *fixed* index against which negative
         literals are tested for absence.  Defaults to the growing index
         itself, which is only sound for stratified uses — the callers in this
-        codebase either ignore negation or pass a fixed oracle.
+        codebase either ignore negation or pass a fixed oracle.  It must
+        share the index's symbol table (``ValueError`` otherwise).
     max_atoms:
         Budget on the total index size; exceeding it raises
         :class:`~repro.errors.SolverLimitError` with *limit_message*.
@@ -137,40 +127,19 @@ def fixpoint(
         newly derived tuples are attributed to it per round.
     """
     target = index if index is not None else RelationIndex(statistics=statistics)
-    compiled: List[CompiledRule] = [
-        compile_rule(rule, ignore_negation=ignore_negation, statistics=statistics)
-        for rule in rules
-    ]
-    # The row plane is usable when the growing index and the negation oracle
-    # share one symbol table (ids from one are meaningless in the other).
-    symbols = getattr(target, "symbols", None)
-    row_plane = symbols is not None and (
-        negative_against is None
-        or getattr(negative_against, "symbols", None) is symbols
-    )
-    encoded_of: Dict[int, Optional[EncodedRule]] = {}
-    if row_plane:
-        for rule in compiled:
-            if rule.positive:
-                candidate = encode_rule(rule, symbols)
-                encoded_of[id(rule)] = candidate if candidate.encodable else None
+    if negative_against is not None:
+        check_negation_oracle(target, negative_against)
+    symbols = target.symbols
+    encoded_rules: List[Tuple[CompiledRule, EncodedRule]] = []
+    for rule in rules:
+        compiled = compile_rule(
+            rule, ignore_negation=ignore_negation, statistics=statistics
+        )
+        encoded_rules.append((compiled, encode_rule(compiled, symbols)))
     tracing = tracer is not None and tracer.enabled
     fixpoint_span = (
-        tracer.start("engine.fixpoint", rules=len(compiled)) if tracing else None
+        tracer.start("engine.fixpoint", rules=len(encoded_rules)) if tracing else None
     )
-
-    def derive(atom: Atom, rule: CompiledRule, assignment: dict) -> None:
-        if not atom.is_ground:
-            return
-        if target.add(atom):
-            if statistics is not None:
-                statistics.triggers_fired += 1
-            if profiler is not None:
-                profiler.record(rule, tuples=1)
-            if on_derive is not None:
-                on_derive(atom, rule.source if rule.source is not None else rule, assignment)
-            if max_atoms is not None and len(target) > max_atoms:
-                raise SolverLimitError(limit_message)
 
     def derive_row(rule: CompiledRule, encoded: EncodedRule, predicate, row, binding) -> None:
         # build_head_rows already dropped non-ground heads, so *row* is ground.
@@ -192,40 +161,14 @@ def fixpoint(
         target.update(facts)
         if max_atoms is not None and len(target) > max_atoms:
             raise SolverLimitError(limit_message)
-        # Rules without a positive body fire once, up front (their negative
-        # literals, if kept, are still verified by the matcher's empty join).
-        for rule in compiled:
-            if not rule.positive:
-                for assignment in enumerate_matches(
-                    rule, target, negative_against=negative_against, statistics=statistics
-                ):
-                    if profiler is not None:
-                        profiler.record(rule, triggers=1)
-                    if on_fire_bindings is not None:
-                        on_fire_bindings(rule, None, assignment)
-                    elif on_fire is not None:
-                        on_fire(rule, assignment)
-                    for head in rule.heads:
-                        derive(head, rule, assignment)
-
         first_round = True
         rounds = 0
         tick = target.tick()
         while True:
-            # On the row plane the delta stays encoded: ``rows_added_since``
-            # hands back ``(predicate, row)`` pairs and only rules that fell
-            # back to the object path pay a (cached) decode.
-            if first_round:
-                delta_rows: Optional[List] = []
-                delta_atoms: Optional[List[Atom]] = []
-            elif row_plane:
-                delta_rows = list(target.rows_added_since(tick))
-                delta_atoms = None  # decoded lazily, for fallback rules only
-            else:
-                delta_rows = None
-                delta_atoms = list(target.added_since(tick))
-            delta_size = len(delta_rows if delta_rows is not None else delta_atoms)
-            if not first_round and delta_size == 0:
+            # The delta stays encoded: ``rows_added_since`` hands back
+            # ``(predicate, row)`` pairs.
+            delta_rows = [] if first_round else list(target.rows_added_since(tick))
+            if not first_round and not delta_rows:
                 break
             tick = target.tick()
             # The delta is materialised (and round 1 scans everything anyway);
@@ -237,71 +180,41 @@ def fixpoint(
                 statistics.iterations += 1
             round_span = (
                 tracer.start(
-                    "engine.fixpoint.round", round=rounds, delta=delta_size
+                    "engine.fixpoint.round", round=rounds, delta=len(delta_rows)
                 )
                 if tracing
                 else None
             )
             # Materialise each round's matches before inserting, so the hash
             # indexes are never mutated while the join iterates over them.
-            # Encoded rules enqueue ``(rule, encoded, slot-binding tuple)``;
-            # fallback rules enqueue ``(rule, None, assignment dict)``.
-            pending: List[Tuple[CompiledRule, Optional[EncodedRule], object]] = []
-            for rule in compiled:
-                if not rule.positive:
+            # Rules without a positive body fire in the first round only
+            # (their zero-step plan just verifies the negative literals).
+            pending: List[Tuple[CompiledRule, EncodedRule, tuple]] = []
+            for rule, encoded in encoded_rules:
+                if not first_round and not rule.positive:
                     continue
                 if profiler is not None:
                     rule_t0 = perf_counter()
                     rule_n0 = len(pending)
-                encoded = encoded_of.get(id(rule))
-                if encoded is not None:
-                    if first_round:
+                if first_round:
+                    for binding in enumerate_bindings(
+                        encoded,
+                        target,
+                        negative_against=negative_against,
+                        statistics=statistics,
+                    ):
+                        pending.append((rule, encoded, tuple(binding)))
+                else:
+                    for position in range(len(rule.positive)):
                         for binding in enumerate_bindings(
                             encoded,
                             target,
+                            delta_rows=delta_rows,
+                            delta_position=position,
                             negative_against=negative_against,
                             statistics=statistics,
                         ):
                             pending.append((rule, encoded, tuple(binding)))
-                    else:
-                        for position in range(len(rule.positive)):
-                            for binding in enumerate_bindings(
-                                encoded,
-                                target,
-                                delta_rows=delta_rows,
-                                delta_position=position,
-                                negative_against=negative_against,
-                                statistics=statistics,
-                            ):
-                                pending.append((rule, encoded, tuple(binding)))
-                elif first_round:
-                    pending.extend(
-                        (rule, None, assignment)
-                        for assignment in enumerate_matches(
-                            rule,
-                            target,
-                            negative_against=negative_against,
-                            statistics=statistics,
-                        )
-                    )
-                else:
-                    if delta_atoms is None:
-                        decode = symbols.atom
-                        delta_atoms = [
-                            decode(predicate, row) for predicate, row in delta_rows
-                        ]
-                    for position in range(len(rule.positive)):
-                        pending.extend(
-                            (rule, None, assignment)
-                            for assignment in enumerate_matches(
-                                rule,
-                                target,
-                                delta=delta_atoms,
-                                delta_position=position,
-                                negative_against=negative_against,
-                                statistics=statistics,
-                            )
-                        )
                 if profiler is not None:
                     profiler.record(
                         rule,
@@ -311,21 +224,11 @@ def fixpoint(
                     )
             first_round = False
             try:
-                for rule, encoded, payload in pending:
-                    if encoded is not None:
-                        if on_fire_bindings is not None:
-                            on_fire_bindings(rule, encoded, payload)
-                        elif on_fire is not None:
-                            on_fire(rule, encoded.decode_binding(payload))
-                        for predicate, row in encoded.build_head_rows(payload):
-                            derive_row(rule, encoded, predicate, row, payload)
-                    else:
-                        if on_fire_bindings is not None:
-                            on_fire_bindings(rule, None, payload)
-                        elif on_fire is not None:
-                            on_fire(rule, payload)
-                        for head in rule.heads:
-                            derive(apply_substitution(head, payload), rule, payload)
+                for rule, encoded, binding in pending:
+                    if on_fire is not None:
+                        on_fire(rule, encoded, binding)
+                    for predicate, row in encoded.build_head_rows(binding):
+                        derive_row(rule, encoded, predicate, row, binding)
             finally:
                 if round_span is not None:
                     round_span.finish(firings=len(pending))

@@ -219,8 +219,9 @@ def efwfs_entails(
 
 def _query_matches(query: ConjunctiveQuery, true_atoms: frozenset[Atom]):
     """Yield, for every match of the positive part, the ground negative atoms."""
-    from ..core.homomorphism import AtomIndex, extend_homomorphisms
+    from ..core.homomorphism import extend_homomorphisms
+    from ..engine.index import RelationIndex
 
-    index = AtomIndex(true_atoms)
+    index = RelationIndex(true_atoms)
     for assignment in extend_homomorphisms(list(query.positive_atoms), index):
         yield [apply_substitution(atom, assignment) for atom in query.negative_atoms]

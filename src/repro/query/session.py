@@ -81,7 +81,6 @@ __all__ = [
     "ExplainReport",
     "QueryPlan",
     "QuerySession",
-    "QueryStatistics",
     "SessionEpoch",
     "SessionStatistics",
     "StandingDeltas",
@@ -300,11 +299,6 @@ class SessionStatistics:
     answers_repaired: int = 0
     views_built: int = 0
     engine: EngineStatistics = field(default_factory=EngineStatistics)
-
-
-#: Public alias: query-facing callers read these counters per query session,
-#: mirroring ``EngineStatistics`` on the storage side.
-QueryStatistics = SessionStatistics
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,7 @@ def encode_term(term: Term) -> list:
             term.function,
             [encode_term(argument) for argument in term.arguments],
         ]
-    raise DurabilityError(f"unencodable term {term!r}")
+    raise DurabilityError(f"cannot encode term {term!r}")
 
 
 def decode_term(payload: Sequence) -> Term:

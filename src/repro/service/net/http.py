@@ -33,7 +33,9 @@ so a client can observe replication staleness directly.
 
 Error mapping: parse/safety/validation errors -> 400, unknown paths or
 subscription ids -> 404, wrong method -> 405, write on a read-only backend
-(a replica) -> 403, backpressure rejection -> 429, closed service -> 503.
+(a replica) -> 403, backpressure rejection -> 429, closed service -> 503,
+anything unexpected -> 500 (logged with its traceback, counted in
+``http_internal_errors_total``, connection closed).
 
 Use :func:`serve_http` to start a server on a background thread::
 
@@ -45,6 +47,7 @@ Use :func:`serve_http` to start a server on a background thread::
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -58,6 +61,7 @@ from ...errors import (
     ServiceOverloadedError,
     SubscriptionError,
 )
+from ...obs.metrics import global_registry
 from ...obs.trace import get_tracer
 
 __all__ = ["DatalogHTTPServer", "serve_http"]
@@ -68,6 +72,8 @@ DEFAULT_POLL_TIMEOUT = 30.0
 MAX_POLL_TIMEOUT = 120.0
 #: request bodies larger than this are rejected outright (16 MiB)
 MAX_BODY_BYTES = 16 << 20
+
+_log = logging.getLogger(__name__)
 
 
 class _HTTPError(Exception):
@@ -147,6 +153,17 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond(400, {"error": str(error)})
         except (BrokenPipeError, ConnectionResetError):
             status = 499  # client went away mid-response
+        except Exception as error:
+            # A bug behind the route (e.g. in the backend's read path): the
+            # client gets a 500 instead of a dropped connection, and the
+            # server thread keeps serving.
+            status = 500
+            self.server._internal_errors.inc()
+            _log.exception("unhandled error serving %s %s", method, parts.path)
+            if span is not None:
+                span.set(error=repr(error))
+            self.close_connection = True
+            self._respond(500, {"error": "internal server error"})
         finally:
             if span is not None:
                 span.finish(status=status)
@@ -185,6 +202,13 @@ class DatalogHTTPServer(ThreadingHTTPServer):
         self._subscriptions: Dict[str, object] = {}
         self._subscriptions_lock = threading.Lock()
         self._serve_thread: Optional[threading.Thread] = None
+        # Counted on the backend's registry (services and replicas both keep
+        # one) so ``/v1/stats`` reports it.
+        registry = getattr(backend, "_metrics", None) or global_registry()
+        self._internal_errors = registry.counter(
+            "http_internal_errors_total",
+            "HTTP requests that failed with an unexpected server error (500)",
+        )
 
     # ------------------------------------------------------------ lifecycle
     @property

@@ -842,6 +842,12 @@ class ReplicationServer:
     def close(self) -> None:
         """Stop accepting and drop every connection."""
         self._closed.set()
+        # close() alone does not wake a thread blocked in accept();
+        # shutting the listener down first does.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:  # pragma: no cover - already closed

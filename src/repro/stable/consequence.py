@@ -19,10 +19,10 @@ from typing import Iterable, Sequence
 
 from ..core.atoms import Atom, apply_substitution
 from ..core.database import Database
-from ..core.homomorphism import AtomIndex, extend_homomorphisms
+from ..core.homomorphism import extend_homomorphisms
 from ..core.interpretation import Interpretation
 from ..core.rules import NTGD, RuleSet
-from ..engine import compile_rule, enumerate_matches
+from ..engine import RelationIndex, compile_rule, enumerate_matches
 
 __all__ = [
     "immediate_consequences",
@@ -52,8 +52,8 @@ def immediate_consequences(
     ``I⁺`` under some extension of the homomorphism is a consequence.
     """
     oracle = _positive_part(interpretation)
-    oracle_index = AtomIndex(oracle)
-    current_index = AtomIndex(current)
+    oracle_index = RelationIndex(oracle)
+    current_index = RelationIndex(current)
     produced: set[Atom] = set()
     for rule in rules:
         for assignment in enumerate_matches(

@@ -34,10 +34,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from ..core.atoms import Atom, apply_substitution
 from ..core.database import Database
-from ..core.homomorphism import AtomIndex, extend_homomorphisms, ground_matches
+from ..core.homomorphism import extend_homomorphisms, ground_matches
 from ..core.interpretation import Interpretation
 from ..core.rules import NTGD, RuleSet
 from ..core.terms import GroundTerm, Null, Variable
+from ..engine.index import RelationIndex
 from ..errors import SolverLimitError
 from .universe import Universe
 
@@ -116,7 +117,7 @@ def _witness_assignments(
 def _moves(
     rules: Sequence[NTGD],
     atoms: frozenset[Atom],
-    index: AtomIndex,
+    index: RelationIndex,
     universe: Universe,
 ) -> Iterator[frozenset[Atom]]:
     """All successor states obtained by firing one active unsatisfied trigger."""
@@ -167,7 +168,7 @@ def generate_candidate_models(
                 "stable-model generation exceeded max_states; enlarge the budget "
                 "or shrink the universe"
             )
-        index = AtomIndex(atoms)
+        index = RelationIndex(atoms)
         successors = list(_moves(rule_list, atoms, index, universe))
         stats.moves_explored += len(successors)
         if not successors:

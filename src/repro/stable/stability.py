@@ -26,11 +26,11 @@ from typing import Iterable, Optional, Sequence
 
 from ..core.atoms import Atom, apply_substitution
 from ..core.database import Database
-from ..core.homomorphism import AtomIndex, extend_homomorphisms
+from ..core.homomorphism import extend_homomorphisms
 from ..core.interpretation import Interpretation
 from ..core.modelcheck import is_model
 from ..core.rules import NTGD, RuleSet
-from ..engine import EngineStatistics, compile_rule, enumerate_matches
+from ..engine import EngineStatistics, RelationIndex, compile_rule, enumerate_matches
 from ..errors import SolverLimitError
 
 __all__ = [
@@ -68,12 +68,12 @@ def find_smaller_reduct_model(
         # The candidate does not even contain the database; the caller's model
         # check will reject it, and the stability condition is moot.
         return None
-    full_index = AtomIndex(full)
+    full_index = RelationIndex(full)
     rule_list = list(rules)
     compiled = [compile_rule(rule, statistics=statistics) for rule in rule_list]
     visited: set[frozenset[Atom]] = set()
 
-    def violated_trigger(current_index: AtomIndex):
+    def violated_trigger(current_index: RelationIndex):
         for rule, compiled_rule in zip(rule_list, compiled):
             for assignment in enumerate_matches(
                 compiled_rule,
@@ -100,7 +100,7 @@ def find_smaller_reduct_model(
                 "stability check exceeded its state budget; the candidate model "
                 "is too large for the reference checker"
             )
-        current_index = AtomIndex(current)
+        current_index = RelationIndex(current)
         violation = violated_trigger(current_index)
         if violation is None:
             return current if current < full else None

@@ -20,9 +20,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ..core.atoms import Atom, apply_substitution
 from ..core.database import Database
-from ..core.homomorphism import AtomIndex, extend_homomorphisms, ground_matches
+from ..core.homomorphism import extend_homomorphisms, ground_matches
 from ..core.interpretation import Interpretation
 from ..core.rules import NTGD, RuleSet
+from ..engine.index import RelationIndex
 from .stability import find_smaller_reduct_model
 
 __all__ = [
@@ -87,7 +88,7 @@ def compute_witness(
         if isinstance(interpretation, Interpretation)
         else frozenset(interpretation)
     )
-    index = AtomIndex(atoms)
+    index = RelationIndex(atoms)
     entries: list[WitnessEntry] = []
     for match in ground_matches(rule.body, index):
         assignment = match.as_dict()

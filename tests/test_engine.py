@@ -23,7 +23,6 @@ from repro.engine import (
     RelationIndex,
     RelationSnapshot,
     SQLiteBackend,
-    VersionedRelationIndex,
     compile_rule,
     enumerate_matches,
     fixpoint,
@@ -343,9 +342,6 @@ class TestBackends:
 
 
 class TestVersionedIndex:
-    def test_versioned_alias_is_relation_index(self):
-        assert VersionedRelationIndex is RelationIndex
-
     def test_remove_maintains_hash_indexes_and_deltas(self):
         index = RelationIndex([edge(a, b), edge(a, c), edge(b, c)])
         assert set(index.candidates_for(edge(a, X))) == {edge(a, b), edge(a, c)}
@@ -554,13 +550,13 @@ class TestPlanner:
 
 def naive_fixpoint(program, facts):
     """Reference least-fixpoint: full re-evaluation every round (the seed way)."""
-    from repro.core.homomorphism import AtomIndex, extend_homomorphisms
+    from repro.core.homomorphism import extend_homomorphisms
 
     derived = set(facts)
     for rule in program:
         if rule.is_fact and rule.head.is_ground:
             derived.add(rule.head)
-    index = AtomIndex(derived)
+    index = RelationIndex(derived)
     changed = True
     while changed:
         changed = False

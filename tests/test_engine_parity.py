@@ -16,7 +16,8 @@ import pytest
 
 from repro import parse_database, parse_program
 from repro.chase import oblivious_chase, restricted_chase
-from repro.core.homomorphism import AtomIndex, embeds, extend_homomorphisms, ground_matches
+from repro.core.homomorphism import embeds, extend_homomorphisms, ground_matches
+from repro.engine import RelationIndex
 from repro.generators import random_database
 from repro.lp.grounding import ground_program, positive_closure
 from repro.lp.programs import NormalProgram, NormalRule
@@ -36,7 +37,7 @@ def naive_restricted_chase_atoms(database, rules):
     from repro.core.terms import NullFactory
 
     atoms = set(database.atoms)
-    index = AtomIndex(atoms)
+    index = RelationIndex(atoms)
     nulls = NullFactory(prefix="n")
     progress = True
     while progress:
@@ -65,7 +66,7 @@ def naive_positive_closure(program, facts):
     for rule in program:
         if rule.is_fact and rule.head.is_ground:
             derived.add(rule.head)
-    index = AtomIndex(derived)
+    index = RelationIndex(derived)
     changed = True
     while changed:
         changed = False
@@ -83,7 +84,7 @@ def naive_positive_closure(program, facts):
 
 def naive_ground_program(program, facts):
     closure = naive_positive_closure(program, facts)
-    index = AtomIndex(closure)
+    index = RelationIndex(closure)
     rules = [NormalRule(atom) for atom in sorted(facts, key=lambda a: a.sort_key())]
     for rule in program:
         if rule.is_fact:
@@ -239,7 +240,7 @@ def _atom(name: str):
 
 
 class TestVersionedStorageParity:
-    """Property tests: a branch of a ``VersionedRelationIndex`` always agrees
+    """Property tests: a branch of a ``RelationIndex`` always agrees
     with a fresh naive ``RelationIndex`` built from the equivalent flat fact
     set, under any interleaving of fork/add/remove/query operations."""
 
@@ -292,11 +293,11 @@ class TestVersionedStorageParity:
     def test_random_interleavings_match_flat_reference(self, seed):
         import random
 
-        from repro.engine import VersionedRelationIndex
+        from repro.engine import RelationIndex
 
         rng = random.Random(seed)
         _, _, atoms = self._universe()
-        root = VersionedRelationIndex(rng.sample(atoms, 8))
+        root = RelationIndex(rng.sample(atoms, 8))
         branches = [(root, set(root.atoms()))]
         for _ in range(120):
             operation = rng.choice(["add", "add", "remove", "query", "fork"])
@@ -337,12 +338,12 @@ class TestVersionedStorageParity:
     def test_fork_is_isolated_from_later_parent_mutations(self):
         from repro.core.atoms import Predicate
         from repro.core.terms import Constant, Variable
-        from repro.engine import VersionedRelationIndex
+        from repro.engine import RelationIndex
 
         q = Predicate("q", 2)
         c = [Constant(f"c{i}") for i in range(4)]
         X = Variable("X")
-        head = VersionedRelationIndex([q(c[0], c[1]), q(c[0], c[2])])
+        head = RelationIndex([q(c[0], c[1]), q(c[0], c[2])])
         head.candidates_for(q(c[0], X))  # warm the (q, {0}) table
         fork = head.fork()
         fork.add(q(c[0], c[3]))
@@ -359,11 +360,11 @@ class TestVersionedStorageParity:
     def test_fork_of_fork_matches_flat_reference(self):
         from repro.core.atoms import Predicate
         from repro.core.terms import Constant
-        from repro.engine import VersionedRelationIndex
+        from repro.engine import RelationIndex
 
         p = Predicate("p", 1)
         c = [Constant(f"c{i}") for i in range(4)]
-        root = VersionedRelationIndex([p(c[0]), p(c[1])])
+        root = RelationIndex([p(c[0]), p(c[1])])
         child = root.fork()
         child.add(p(c[2]))
         child.remove(p(c[0]))
@@ -376,56 +377,97 @@ class TestVersionedStorageParity:
 
 
 # ---------------------------------------------------------------------------
-# Interned executor parity: row-plane joins vs the object-path backtracker
+# Join executor parity: interned row-plane joins vs a naive full-scan matcher
 # ---------------------------------------------------------------------------
 
 
+def naive_match_term(pattern, target, assignment):
+    """Structural term matching, the seed's way: variables and nulls bind,
+    function terms recurse argument-wise, anything else compares equal."""
+    from repro.core.terms import FunctionTerm, Null, Variable
+
+    if isinstance(pattern, (Variable, Null)):
+        bound = assignment.get(pattern)
+        if bound is None:
+            return {**assignment, pattern: target}
+        return assignment if bound == target else None
+    if isinstance(pattern, FunctionTerm):
+        if (
+            not isinstance(target, FunctionTerm)
+            or pattern.function != target.function
+            or len(pattern.arguments) != len(target.arguments)
+        ):
+            return None
+        for sub_pattern, sub_target in zip(pattern.arguments, target.arguments):
+            assignment = naive_match_term(sub_pattern, sub_target, assignment)
+            if assignment is None:
+                return None
+        return assignment
+    return assignment if pattern == target else None
+
+
+def naive_matches(
+    compiled, atoms, *, partial=None, negative_against=None, delta=None,
+    delta_position=None,
+):
+    """Every assignment of a compiled body into *atoms*: written-order full
+    scans, no index, negative images tested for absence from
+    *negative_against* (default: *atoms*).  The literal at *delta_position*
+    ranges over *delta* only (the semi-naive restriction)."""
+    from repro.core.atoms import apply_substitution
+
+    atoms = list(atoms)
+    oracle = set(negative_against if negative_against is not None else atoms)
+    found = []
+
+    def extend(depth, assignment):
+        if depth == len(compiled.positive):
+            if not any(
+                apply_substitution(atom, assignment) in oracle
+                for atom in compiled.negative
+            ):
+                found.append(assignment)
+            return
+        pattern = compiled.positive[depth]
+        for candidate in delta if depth == delta_position else atoms:
+            if candidate.predicate != pattern.predicate:
+                continue
+            current = assignment
+            for term, value in zip(pattern.terms, candidate.terms):
+                current = naive_match_term(term, value, current)
+                if current is None:
+                    break
+            if current is not None:
+                extend(depth + 1, current)
+
+    extend(0, dict(partial or {}))
+    return found
+
+
 class TestInternedExecutorParity:
-    """The interned (row-plane) executor and the object-path backtracker
-    enumerate identical assignment sets.
-
-    ``enumerate_matches`` runs encoded whenever the growing index and the
-    negation oracle share a symbol table; giving the oracle its *own* table
-    (same atoms, different ids) forces the object fallback, so each test
-    runs the same join twice — once per executor — and compares."""
-
-    @staticmethod
-    def _fresh_index(atoms):
-        from repro.engine import MemoryBackend, RelationIndex, SymbolTable
-
-        return RelationIndex(atoms, backend=MemoryBackend(SymbolTable()))
+    """The interned (row-plane) executor enumerates exactly the assignment
+    set of :func:`naive_matches` — every positive shape (plain, function
+    terms with variables inside, empty bodies), negation and delta mode."""
 
     @staticmethod
     def _both_ways(rule, index, oracle_atoms, **kwargs):
-        from repro.engine import RelationIndex
-        from repro.engine.planner import compile_rule, encode_rule, enumerate_matches
+        from repro.engine.planner import compile_rule, enumerate_matches
 
         compiled = compile_rule(rule) if not hasattr(rule, "positive") else rule
-        assert encode_rule(compiled, index.symbols).encodable
-        shared_oracle = RelationIndex(
-            oracle_atoms, backend=None
-        ) if oracle_atoms is not None else None
-        if shared_oracle is not None:
-            # Same symbol table as *index* (the global default) -> encoded.
-            assert shared_oracle.symbols is index.symbols
-        encoded_run = [
+        # The oracle interns on the index's table (the global default).
+        oracle = RelationIndex(oracle_atoms) if oracle_atoms is not None else None
+        engine_run = [
             dict(m)
             for m in enumerate_matches(
-                compiled, index, negative_against=shared_oracle, **kwargs
+                compiled, index, negative_against=oracle, **kwargs
             )
         ]
-        foreign_oracle = TestInternedExecutorParity._fresh_index(
-            oracle_atoms if oracle_atoms is not None else index.atoms()
+        naive_run = naive_matches(
+            compiled, index.atoms(), negative_against=oracle_atoms, **kwargs
         )
-        object_run = [
-            dict(m)
-            for m in enumerate_matches(
-                compiled, index, negative_against=foreign_oracle, **kwargs
-            )
-        ]
         freeze = lambda m: frozenset(m.items())
-        assert {freeze(m) for m in encoded_run} == {freeze(m) for m in object_run}
-        return encoded_run
+        assert {freeze(m) for m in engine_run} == {freeze(m) for m in naive_run}
+        return engine_run
 
     def test_positive_join_parity(self):
         from repro.core.atoms import Predicate
@@ -504,6 +546,99 @@ class TestInternedExecutorParity:
             for a in facts
         }
         assert {atom for atom in result.atoms() if atom.predicate == s} == expected
+
+    def test_nested_function_patterns_and_shared_variables(self):
+        """``f(g(X), Y)`` destructures twice; ``X`` repeated across a
+        function position and a plain position binds once and compares."""
+        from repro.core.atoms import Predicate
+        from repro.core.terms import Constant, FunctionTerm, Variable
+        from repro.engine.planner import CompiledRule
+
+        p, q = Predicate("p", 2), Predicate("q", 1)
+        a, b = Constant("a"), Constant("b")
+        X, Y = Variable("X"), Variable("Y")
+
+        def f(*args):
+            return FunctionTerm("f", args)
+
+        def g(*args):
+            return FunctionTerm("g", args)
+
+        atoms = [
+            p(f(g(a), b), a),  # matches
+            p(f(g(b), a), b),  # matches
+            p(f(g(a), b), b),  # X differs between the two positions
+            p(f(FunctionTerm("h", (a,)), b), a),  # wrong inner function
+            p(f(g(a)), a),  # wrong outer arity
+            p(g(g(a), b), a),  # wrong outer function
+            p(a, a),  # a constant at the function position
+            q(a),
+        ]
+        index = RelationIndex(atoms)
+        nested = CompiledRule(heads=(), positive=(p(f(g(X), Y), X),), negative=())
+        matches = self._both_ways(nested, index, None)
+        assert {(m[X], m[Y]) for m in matches} == {(a, b), (b, a)}
+        joined = CompiledRule(
+            heads=(), positive=(q(X), p(f(g(X), Y), X)), negative=()
+        )
+        assert [m[Y] for m in self._both_ways(joined, index, None)] == [b]
+        delta = [p(f(g(a), b), a), p(f(g(a), b), b), p(a, a)]
+        for position in (0, 1):
+            self._both_ways(
+                joined, index, None, delta=delta, delta_position=position
+            )
+        self._both_ways(nested, index, None, partial={Y: a})
+
+    def test_constant_at_function_position_never_matches(self):
+        from repro.core.atoms import Predicate
+        from repro.core.terms import Constant, FunctionTerm, Variable
+        from repro.engine.planner import CompiledRule
+
+        p = Predicate("p", 1)
+        b = Constant("b")
+        X = Variable("X")
+        # The constant ``f`` and ``b`` share no id with ``f(b)``; only the
+        # stored function term destructures.
+        index = RelationIndex([p(Constant("f")), p(b), p(FunctionTerm("f", (b,)))])
+        rule = CompiledRule(heads=(), positive=(p(FunctionTerm("f", (X,))),), negative=())
+        assert self._both_ways(rule, index, None) == [{X: b}]
+
+    def test_empty_body_with_negative_literal(self):
+        from repro.core.atoms import Predicate
+        from repro.core.terms import Constant
+        from repro.engine import fixpoint
+        from repro.engine.planner import CompiledRule
+        from repro.lp.programs import NormalRule
+
+        q, r = Predicate("q", 1), Predicate("r", 1)
+        a = Constant("a")
+        rule = CompiledRule(heads=(r(a),), positive=(), negative=(q(a),))
+        assert self._both_ways(rule, RelationIndex([r(a)]), None) == [{}]
+        assert self._both_ways(rule, RelationIndex([q(a)]), None) == []
+        program = [NormalRule(r(a), (), (q(a),))]
+        assert r(a) in fixpoint(program)
+        assert r(a) not in fixpoint(program, [q(a)])
+
+    def test_foreign_table_negation_oracle_raises(self):
+        from repro.core.atoms import Predicate
+        from repro.core.terms import Constant, Variable
+        from repro.engine import MemoryBackend, SymbolTable, fixpoint
+        from repro.engine.planner import CompiledRule, enumerate_matches
+        from repro.lp.programs import NormalRule
+
+        p, q = Predicate("p", 1), Predicate("q", 1)
+        X = Variable("X")
+        index = RelationIndex([p(Constant("a"))])
+        foreign = RelationIndex(backend=MemoryBackend(SymbolTable()))
+        rule = CompiledRule(heads=(), positive=(p(X),), negative=(q(X),))
+        with pytest.raises(ValueError, match="SymbolTable"):
+            list(enumerate_matches(rule, index, negative_against=foreign))
+        with pytest.raises(ValueError, match="SymbolTable"):
+            fixpoint(
+                [NormalRule(q(X), (p(X),), (q(X),))],
+                index=index,
+                negative_against=foreign,
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from repro import Constant, Database, Interpretation, Null, Variable, parse_atom, parse_query
 from repro.core.atoms import Atom, Predicate
 from repro.core.homomorphism import (
-    AtomIndex,
     embeds,
     ground_matches,
     has_homomorphism,
     homomorphisms,
-    match_atom,
-    match_terms,
 )
+from repro.engine import RelationIndex
 from repro.errors import GroundingError
 
 P = Predicate("p", 2)
@@ -27,25 +25,28 @@ n = Null("n")
 
 
 class TestMatching:
+    """Single-atom homomorphisms: the term-matching rules of Section 2."""
+
     def test_variable_binds(self):
-        assert match_terms(X, a, {}) == {X: a}
+        assert list(homomorphisms([Q(X)], [Q(a)])) == [{X: a}]
 
     def test_variable_consistency(self):
-        assert match_terms(X, b, {X: a}) is None
-        assert match_terms(X, a, {X: a}) == {X: a}
+        assert list(homomorphisms([Q(X)], [Q(b)], partial={X: a})) == []
+        assert list(homomorphisms([Q(X)], [Q(a)], partial={X: a})) == [{X: a}]
+        assert list(homomorphisms([P(X, X)], [P(a, b)])) == []
 
     def test_constant_identity(self):
-        assert match_terms(a, a, {}) == {}
-        assert match_terms(a, b, {}) is None
+        assert list(homomorphisms([Q(a)], [Q(a)])) == [{}]
+        assert list(homomorphisms([Q(a)], [Q(b)])) == []
 
     def test_null_in_source_is_flexible(self):
-        assert match_terms(n, a, {}) == {n: a}
+        assert list(homomorphisms([Q(n)], [Q(a)])) == [{n: a}]
 
     def test_atom_predicate_mismatch(self):
-        assert match_atom(Q(X), P(a, b), {}) is None
+        assert list(homomorphisms([Q(X)], [P(a, b)])) == []
 
     def test_atom_match(self):
-        assert match_atom(P(X, Y), P(a, b), {}) == {X: a, Y: b}
+        assert list(homomorphisms([P(X, Y)], [P(a, b)])) == [{X: a, Y: b}]
 
 
 class TestHomomorphisms:
@@ -93,12 +94,12 @@ class TestHomomorphisms:
 
 class TestAtomIndex:
     def test_candidates_by_predicate(self):
-        index = AtomIndex([P(a, b), Q(a)])
+        index = RelationIndex([P(a, b), Q(a)])
         assert list(index.candidates(Q)) == [Q(a)]
         assert len(index) == 2
 
     def test_duplicate_add_is_idempotent(self):
-        index = AtomIndex()
+        index = RelationIndex()
         index.add(P(a, b))
         index.add(P(a, b))
         assert len(index) == 1

@@ -10,7 +10,8 @@ Three groups:
   long-poll GETs deliver per-revision notifications in order, timeouts
   and cancellation are explicit responses, not hangs;
 * **error mapping** — bad Datalog 400, unknown endpoints/subscriptions
-  404, wrong verbs 405, writes on a replica backend 403.
+  404, wrong verbs 405, writes on a replica backend 403, a bug behind a
+  route 500 (and the server keeps serving).
 """
 
 from __future__ import annotations
@@ -182,6 +183,27 @@ class TestErrorMapping:
                 server, "/v1/query", body={"query": "?(X) :- not link(X, X)"}
             )
         assert status_of(exc.value) == 400
+
+
+    def test_unexpected_backend_error_is_500_and_server_keeps_serving(
+        self, served, monkeypatch, caplog
+    ):
+        service, server = served
+
+        def broken_read(query):
+            raise RuntimeError("read path bug")
+
+        monkeypatch.setattr(service, "read", broken_read)
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            request(server, "/v1/query", body={"query": QUERY_TEXT})
+        assert caught.value.code == 500
+        assert json.loads(caught.value.read()) == {"error": "internal server error"}
+        assert "read path bug" in caplog.text  # traceback logged, not lost
+        monkeypatch.undo()
+        status, payload = request(server, "/v1/query", body={"query": QUERY_TEXT})
+        assert status == 200
+        assert payload["answers"] == [["b"], ["c"]]
+        assert service.stats().counters["http_internal_errors_total"] == 1
 
 
 class TestReplicaBackend:

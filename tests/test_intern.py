@@ -6,8 +6,8 @@ correct as ``encode -> decode`` being the identity and two racing encoders
 agreeing on one id.  These tests hammer exactly that, with hypothesis-driven
 term shapes and an 8-thread concurrent-intern battery, plus the
 ``TupleRelation`` invariants (rows vs columns vs cached scans) and the
-engine-level guarantee that the encoded executor yields the same assignments
-as the object-path fallback.
+engine-level guarantee that the encoded executor yields exactly the
+assignments a naive join over the stored facts would.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.atoms import Atom, Predicate
 from repro.core.terms import Constant, FunctionTerm, Null, Variable
 from repro.engine import RelationIndex, SymbolTable, TupleRelation, global_symbols
-from repro.engine.planner import CompiledRule, encode_rule, enumerate_matches
+from repro.engine.planner import CompiledRule, enumerate_matches
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +180,8 @@ class TestTupleRelation:
 
 
 class TestEncodedExecutorParity:
-    """The interned executor and the object-path matcher enumerate the same
-    assignment sets over the same stored data."""
+    """The interned executor enumerates exactly the assignment set of a
+    naive nested-loop join over the same stored data."""
 
     @given(
         st.lists(
@@ -202,8 +202,6 @@ class TestEncodedExecutorParity:
         index = RelationIndex(atoms)
         X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
         rule = CompiledRule(heads=(), positive=(e(X, Y), e(Y, Z)), negative=())
-        encoded = encode_rule(rule, index.symbols)
-        assert encoded.encodable
         found = {
             (m[X], m[Y], m[Z]) for m in enumerate_matches(rule, index)
         }

@@ -12,7 +12,6 @@ from repro.encodings import DenialConstraint, consistent_answers, subset_repairs
 from repro.lp import ground_program, ground_program_for_query, skolemize
 from repro.query import (
     QuerySession,
-    QueryStatistics,
     SessionStatistics,
     compile_query_plan,
 )
@@ -92,10 +91,8 @@ class TestAnswerCache:
         assert session.statistics.answer_hits == 1
 
 
-def test_query_statistics_is_the_session_statistics_surface():
-    # The public counter surface is exported under both names.
-    assert QueryStatistics is SessionStatistics
-    assert isinstance(QuerySession().statistics, QueryStatistics)
+def test_session_statistics_is_the_public_counter_surface():
+    assert isinstance(QuerySession().statistics, SessionStatistics)
 
 
 class TestPredicateLevelInvalidation:

@@ -437,6 +437,19 @@ class TestLocalReplicaLink:
 
 
 class TestTCPTransport:
+    def test_close_wakes_the_accept_thread(self):
+        svc = service()
+        publisher = ReplicationPublisher(svc)
+        server = ReplicationServer(publisher)
+        try:
+            started = time.monotonic()
+            server.close()
+            assert time.monotonic() - started < 1.0
+            assert not server._accept_thread.is_alive()
+        finally:
+            publisher.close()
+            svc.close()
+
     def test_late_joiner_bootstraps_from_snapshot(self):
         svc = service()
         svc.add_facts([link("a", "b"), link("b", "c")]).result()
