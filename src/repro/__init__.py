@@ -70,7 +70,6 @@ from .engine import (
     EngineStatistics,
     MemoryBackend,
     RelationIndex,
-    SQLiteBackend,
     fixpoint,
 )
 from .errors import (
@@ -152,7 +151,6 @@ __all__ = [
     "ReproError",
     "RuleProfiler",
     "RuleSet",
-    "SQLiteBackend",
     "SafetyError",
     "ServiceClosedError",
     "ServiceOverloadedError",

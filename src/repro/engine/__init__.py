@@ -27,8 +27,8 @@ loops.  It has five parts:
 * :mod:`~repro.engine.seminaive` — the generic semi-naive :func:`fixpoint`
   driver (delta rules, no rederivation) and the counter-propagation
   :class:`GroundProgramEvaluator` for ground programs;
-* :mod:`~repro.engine.backend` — the pluggable storage protocol with the
-  in-memory default and a ``sqlite3`` out-of-core backend;
+* :mod:`~repro.engine.backend` — the storage protocol, the copy-on-write
+  :class:`MemoryBackend` and the tombstoning :class:`OverlayBackend`;
 * :mod:`~repro.engine.maintenance` — incremental maintenance of derived
   relations: :class:`SupportTable` derivation records (populated through the
   fixpoint driver's ``on_fire`` hook), the counting cascade behind
@@ -42,7 +42,7 @@ See the "Engine internals" section of the top-level README for how the pieces
 fit together.
 """
 
-from .backend import MemoryBackend, OverlayBackend, SQLiteBackend, StorageBackend
+from .backend import MemoryBackend, OverlayBackend, StorageBackend
 from .index import (
     OverlayRelationIndex,
     RelationIndex,
@@ -77,7 +77,6 @@ __all__ = [
     "RelationIndex",
     "RelationSnapshot",
     "Row",
-    "SQLiteBackend",
     "StorageBackend",
     "SupportTable",
     "SymbolTable",

@@ -1,71 +1,51 @@
-"""Pluggable storage backends for :class:`~repro.engine.index.RelationIndex`.
+"""Tuple storage under :class:`~repro.engine.index.RelationIndex`.
 
 The evaluation engine separates *what* is stored (ground atoms, grouped by
-predicate) from *where* it is stored.  A backend supports insertion and
-removal with dedup, membership, per-predicate scan and counting, plus two
+predicate) from *how* it is accessed.  A backend stores interned rows with
+dedup, answers membership, per-predicate scans and counts, and supports two
 versioning operations — ``snapshot`` (a stable read-only view of the current
 contents) and the :class:`OverlayBackend` wrapper (a cheap writable branch
-over a shared base) — and the rest of the engine (hash indexes, delta
-tracking, join planning) is built on top, so swapping the in-memory default
-for an out-of-core store is a one-line change at index construction time.
+over a shared base).  Hash indexes, delta tracking and join planning live in
+the layers above.
 
-Every backend speaks **two planes** over the same data:
+Writes happen only on the *row plane* (``insert_row``/``remove_row``),
+trading in interned integer tuples (see :mod:`repro.engine.intern`): atoms
+are encoded once, at the index's API edge.  Reads come in both forms —
+``contains_row``/``rows_of`` for the join executor, and
+``in``/``iter``/``atoms_of`` for the atom edge, decoded through the symbol
+table's canonical-atom cache — so the join engine never hashes a term tree.
 
-* the *atom plane* (``insert``/``remove``/``atoms_of``/``in``/``iter``) —
-  the public edge, trading in :class:`~repro.core.atoms.Atom` objects; and
-* the *row plane* (``insert_row``/``remove_row``/``contains_row``/
-  ``rows_of``) — the engine-internal fast path, trading in interned integer
-  tuples (see :mod:`repro.engine.intern`).  Atoms are encoded once when they
-  cross the atom plane and decoded back only through the symbol table's
-  canonical-atom cache, so the join engine above never hashes a term tree.
-
-Three backends ship with the engine:
+Two backends ship with the engine:
 
 * :class:`MemoryBackend` — per-predicate :class:`TupleRelation` storage
   (int-tuple rows with columnar scan arrays) with predicate-level
   copy-on-write: ``snapshot()`` is O(#predicates) and shares each relation
-  until either side of the split writes it.  The default, and the right
-  choice for everything that fits in RAM.
-* :class:`SQLiteBackend` — stores the relation rows in a ``sqlite3`` database
-  (stdlib, always available), keeping only a term-decoding cache in memory.
-  SQLite rows cannot be shared copy-on-write, so its ``snapshot()`` returns a
-  *guarded* view that raises if the base mutates while the view is alive;
-  overlay forks (which never mutate the base) are the supported way to branch
-  a SQLite-backed instance.
-* :class:`OverlayBackend` — a writable layer over any read-only base view:
-  additions live in a private :class:`MemoryBackend`, removals of base atoms
-  become **tombstones** (row-keyed).  Creating one is O(1) regardless of base
-  size, which is what makes per-query and per-repair evaluation branches
+  until either side of the split writes it.
+* :class:`OverlayBackend` — a writable layer over a read-only base view:
+  additions live in a private :class:`MemoryBackend`, removals of base rows
+  become **tombstones**.  Creating one is O(1) regardless of base size,
+  which is what makes per-query and per-repair evaluation branches
   affordable.
 
-On disk (SQLite), terms are serialised with ``repr`` (all term classes have
-faithful, eval-able reprs) and decoded through a memoised table, so
-round-tripping preserves object identity semantics (structural equality and
-hashing).  In memory, nothing but ids round-trips: all sharing between
-snapshots and forks is sharing of flat int structures.
+All sharing between snapshots and forks is sharing of flat int structures.
 """
 
 from __future__ import annotations
 
-import ast
-import sqlite3
-import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Set
+from typing import Dict, Iterable, Iterator, Optional, Protocol, Sequence, Set
 
 from ..core.atoms import Atom, Predicate
-from ..core.terms import Constant, FunctionTerm, Null
 from .intern import Row, SymbolTable, TupleRelation, global_symbols
 
 __all__ = [
     "StorageBackend",
     "MemoryBackend",
-    "SQLiteBackend",
     "OverlayBackend",
 ]
 
 
 class StorageBackend(Protocol):
-    """The storage contract the engine requires (atom plane + row plane)."""
+    """What the engine requires of a store: row writes, row and atom reads."""
 
     @property
     def symbols(self) -> SymbolTable:
@@ -73,22 +53,8 @@ class StorageBackend(Protocol):
         ...
 
     # ------------------------------------------------------------ atom plane
-    def insert(self, atom: Atom) -> bool:
-        """Store *atom*; return ``True`` iff it was not already present."""
-        ...
-
-    def remove(self, atom: Atom) -> bool:
-        """Delete *atom*; return ``True`` iff it was present."""
-        ...
-
     def snapshot(self) -> "StorageBackend":
-        """A stable read-only view of the current contents.
-
-        Backends with copy-on-write support return a view that stays valid
-        across later mutations of the base; others may return a guarded view
-        that raises once the base mutates.  Callers must treat the result as
-        read-only either way.
-        """
+        """A read-only view that stays valid across later base mutations."""
         ...
 
     def __contains__(self, atom: Atom) -> bool: ...
@@ -197,15 +163,6 @@ class MemoryBackend:
         return relation.scan() if relation is not None else ()
 
     # ------------------------------------------------------------ atom plane
-    def insert(self, atom: Atom) -> bool:
-        return self.insert_row(atom.predicate, self._symbols.encode_atom(atom))
-
-    def remove(self, atom: Atom) -> bool:
-        row = self._symbols.try_encode_atom(atom)
-        if row is None:
-            return False
-        return self.remove_row(atom.predicate, row)
-
     def snapshot(self) -> "MemoryBackend":
         """An O(#predicates) copy-on-write view of the current contents.
 
@@ -256,15 +213,14 @@ class OverlayBackend:
 
     Additions live in a private :class:`MemoryBackend` (sharing the base's
     symbol table, so rows from both layers are directly comparable);
-    removing a base atom records a **row tombstone** instead of touching the
+    removing a base row records a **row tombstone** instead of touching the
     base, so any number of overlays can branch off one base concurrently and
     each costs O(1) to create plus O(its own writes) to hold.  Re-inserting
-    a tombstoned atom clears the tombstone (the atom is visible through the
+    a tombstoned row clears the tombstone (the row is visible through the
     base again).
 
     The base must not be mutated while overlays over it are alive; take it
-    from ``snapshot()`` (copy-on-write backends keep such views valid, and
-    guarded views raise on violation).
+    from ``snapshot()``, whose copy-on-write views never change.
     """
 
     __slots__ = ("_base", "_local", "_tombstones", "_tombstone_counts", "_tombstone_total")
@@ -295,10 +251,6 @@ class OverlayBackend:
     def is_tombstoned_row(self, predicate: Predicate, row: Row) -> bool:
         tombstones = self._tombstones.get(predicate)
         return tombstones is not None and row in tombstones
-
-    def is_tombstoned(self, atom: Atom) -> bool:
-        row = self.symbols.try_encode_atom(atom)
-        return row is not None and self.is_tombstoned_row(atom.predicate, row)
 
     # ------------------------------------------------------------- row plane
     def insert_row(self, predicate: Predicate, row: Row) -> bool:
@@ -366,15 +318,6 @@ class OverlayBackend:
         return list(base_rows) + list(local_rows)
 
     # ------------------------------------------------------------ atom plane
-    def insert(self, atom: Atom) -> bool:
-        return self.insert_row(atom.predicate, self.symbols.encode_atom(atom))
-
-    def remove(self, atom: Atom) -> bool:
-        row = self.symbols.try_encode_atom(atom)
-        if row is None:
-            return False
-        return self.remove_row(atom.predicate, row)
-
     def snapshot(self) -> "OverlayBackend":
         clone = OverlayBackend(self._base)
         clone._local = self._local.snapshot()
@@ -432,291 +375,3 @@ class OverlayBackend:
         for predicate in self._local.predicates():
             seen.setdefault(predicate, None)
         return seen.keys()
-
-
-#: Separator used between encoded terms of one row (never occurs in reprs,
-#: which escape non-printable characters).
-_SEP = "\x1f"
-
-_TERM_CONSTRUCTORS = {
-    "Constant": Constant,
-    "Null": Null,
-    "FunctionTerm": FunctionTerm,
-}
-
-
-def _term_from_ast(node: ast.expr):
-    """Rebuild a term from the AST of its ``repr``.
-
-    Only the three ground-term constructors, string literals and tuples are
-    accepted, so a tampered database file can at worst fail to decode — it
-    can never execute code (this is deliberately *not* ``eval``).
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.Tuple):
-        return tuple(_term_from_ast(element) for element in node.elts)
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in _TERM_CONSTRUCTORS
-        and not node.keywords
-    ):
-        return _TERM_CONSTRUCTORS[node.func.id](
-            *(_term_from_ast(argument) for argument in node.args)
-        )
-    raise ValueError(f"malformed term encoding: {ast.dump(node)}")
-
-
-class _GuardedSnapshotView:
-    """A read-only view pinned to a backend's mutation counter.
-
-    Used by backends that cannot share rows copy-on-write: every read
-    verifies the base has not mutated since the view was taken, so a stale
-    view fails loudly instead of silently serving the wrong revision.
-    """
-
-    __slots__ = ("_backend", "_pinned")
-
-    def __init__(self, backend: "SQLiteBackend") -> None:
-        self._backend = backend
-        self._pinned = backend.mutation_count
-
-    def _check(self) -> "SQLiteBackend":
-        if self._backend.mutation_count != self._pinned:
-            raise RuntimeError(
-                "storage snapshot invalidated: the backing store mutated "
-                "after the snapshot was taken (SQLite snapshots are guarded "
-                "views, not copy-on-write clones)"
-            )
-        return self._backend
-
-    @property
-    def symbols(self) -> SymbolTable:
-        return self._backend.symbols
-
-    def insert(self, atom: Atom) -> bool:
-        raise TypeError("storage snapshots are read-only")
-
-    def remove(self, atom: Atom) -> bool:
-        raise TypeError("storage snapshots are read-only")
-
-    def insert_row(self, predicate: Predicate, row: Row) -> bool:
-        raise TypeError("storage snapshots are read-only")
-
-    def remove_row(self, predicate: Predicate, row: Row) -> bool:
-        raise TypeError("storage snapshots are read-only")
-
-    def snapshot(self) -> "_GuardedSnapshotView":
-        self._check()
-        return self
-
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self._check()
-
-    def contains_row(self, predicate: Predicate, row: Row) -> bool:
-        return self._check().contains_row(predicate, row)
-
-    def rows_of(self, predicate: Predicate) -> Sequence[Row]:
-        return self._check().rows_of(predicate)
-
-    def __len__(self) -> int:
-        return len(self._check())
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self._check())
-
-    def atoms_of(self, predicate: Predicate) -> Sequence[Atom]:
-        return self._check().atoms_of(predicate)
-
-    def count(self, predicate: Predicate) -> int:
-        return self._check().count(predicate)
-
-    def predicates(self) -> Iterable[Predicate]:
-        return self._check().predicates()
-
-
-class SQLiteBackend:
-    """Out-of-core storage keeping relation rows in a ``sqlite3`` database.
-
-    Parameters
-    ----------
-    path:
-        Database location; the default ``":memory:"`` is mainly useful for
-        tests — pass a file path for genuinely out-of-core instances.
-    symbols:
-        The interning table the row plane encodes against; defaults to the
-        process-wide table.  Ids are process-local and never written to the
-        database file (the on-disk format stays portable term ``repr``\\ s).
-
-    Rows live in a single ``facts`` table keyed by ``(predicate, args)``; the
-    encoded form of each term is its ``repr``, decoded back on scan through a
-    memoised cache so repeated scans do not re-parse.  ``snapshot()`` returns
-    a guarded view (see :class:`_GuardedSnapshotView`): branch a SQLite base
-    through :class:`OverlayBackend` rather than mutating it under a snapshot.
-
-    **Threading.**  The connection is opened with ``check_same_thread=False``
-    and every statement (plus the size/sequence counters it maintains) runs
-    under one connection mutex, so a SQLite-backed index — and any snapshot
-    or overlay fork over it — can be read from threads other than the one
-    that created it, and concurrent readers never interleave on the shared
-    cursor.  The mutex serialises *statements*, not transactions: the
-    engine's one-statement-per-call usage needs nothing stronger.
-    """
-
-    def __init__(self, path: str = ":memory:", symbols: Optional[SymbolTable] = None) -> None:
-        # Autocommit: every insert is durable without explicit commit calls,
-        # so the data survives the connection (and the process).
-        # check_same_thread=False + self._lock: sqlite3 connections are
-        # thread-bound by default, which made every cross-thread read —
-        # including reads of immutable snapshots — raise ProgrammingError.
-        self._connection = sqlite3.connect(
-            path, isolation_level=None, check_same_thread=False
-        )
-        self._lock = threading.Lock()
-        # Explicit crash semantics instead of SQLite's build-dependent
-        # defaults: WAL journaling appends committed statements to a
-        # sidecar log, so a process killed mid-write leaves a database that
-        # opens clean (the torn tail is rolled back / checkpointed on the
-        # next open) and readers never see a half-applied statement.
-        # synchronous=NORMAL syncs the WAL at checkpoint boundaries —
-        # process-crash safe always, power-loss safe up to the last
-        # checkpoint — the documented pairing for WAL mode.  :memory:
-        # databases ignore the journal pragma (reported as "memory").
-        self._connection.execute("PRAGMA journal_mode=WAL")
-        self._connection.execute("PRAGMA synchronous=NORMAL")
-        self._connection.execute(
-            "CREATE TABLE IF NOT EXISTS facts ("
-            " predicate TEXT NOT NULL,"
-            " arity INTEGER NOT NULL,"
-            " args TEXT NOT NULL,"
-            " seq INTEGER,"
-            " PRIMARY KEY (predicate, arity, args))"
-        )
-        self._symbols = symbols if symbols is not None else global_symbols()
-        self._decode_cache: Dict[str, object] = {}
-        self._size = int(
-            self._connection.execute("SELECT COUNT(*) FROM facts").fetchone()[0]
-        )
-        self._seq = self._size
-        self._mutations = 0
-
-    @property
-    def symbols(self) -> SymbolTable:
-        return self._symbols
-
-    @property
-    def mutation_count(self) -> int:
-        """Bumped on every successful insert or remove (snapshot guard)."""
-        return self._mutations
-
-    # ------------------------------------------------------------- encoding
-    @staticmethod
-    def _encode_atom(atom: Atom) -> str:
-        return _SEP.join(repr(term) for term in atom.terms)
-
-    def _decode_term(self, text: str):
-        term = self._decode_cache.get(text)
-        if term is None:
-            term = _term_from_ast(ast.parse(text, mode="eval").body)
-            self._decode_cache[text] = term
-        return term
-
-    def _decode_row(self, name: str, arity: int, args: str) -> Atom:
-        predicate = Predicate(name, arity)
-        if not args:
-            return Atom(predicate, ())
-        terms = tuple(self._decode_term(part) for part in args.split(_SEP))
-        return Atom(predicate, terms)
-
-    # -------------------------------------------------------------- protocol
-    def insert(self, atom: Atom) -> bool:
-        with self._lock:
-            cursor = self._connection.execute(
-                "INSERT OR IGNORE INTO facts (predicate, arity, args, seq)"
-                " VALUES (?, ?, ?, ?)",
-                (atom.predicate.name, atom.predicate.arity, self._encode_atom(atom), self._seq),
-            )
-            if cursor.rowcount:
-                self._size += 1
-                self._seq += 1
-                self._mutations += 1
-                return True
-            return False
-
-    def remove(self, atom: Atom) -> bool:
-        with self._lock:
-            cursor = self._connection.execute(
-                "DELETE FROM facts WHERE predicate = ? AND arity = ? AND args = ?",
-                (atom.predicate.name, atom.predicate.arity, self._encode_atom(atom)),
-            )
-            if cursor.rowcount:
-                self._size -= 1
-                self._mutations += 1
-                return True
-            return False
-
-    def insert_row(self, predicate: Predicate, row: Row) -> bool:
-        return self.insert(self._symbols.atom(predicate, row))
-
-    def remove_row(self, predicate: Predicate, row: Row) -> bool:
-        return self.remove(self._symbols.atom(predicate, row))
-
-    def contains_row(self, predicate: Predicate, row: Row) -> bool:
-        return self._symbols.atom(predicate, row) in self
-
-    def rows_of(self, predicate: Predicate) -> Sequence[Row]:
-        encode = self._symbols.encode_atom
-        return [encode(atom) for atom in self.atoms_of(predicate)]
-
-    def snapshot(self) -> _GuardedSnapshotView:
-        return _GuardedSnapshotView(self)
-
-    def __contains__(self, atom: Atom) -> bool:
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT 1 FROM facts WHERE predicate = ? AND arity = ? AND args = ?",
-                (atom.predicate.name, atom.predicate.arity, self._encode_atom(atom)),
-            ).fetchone()
-        return row is not None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[Atom]:
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT predicate, arity, args FROM facts ORDER BY seq"
-            ).fetchall()
-        for name, arity, args in rows:
-            yield self._decode_row(name, arity, args)
-
-    def atoms_of(self, predicate: Predicate) -> Sequence[Atom]:
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT args FROM facts WHERE predicate = ? AND arity = ? ORDER BY seq",
-                (predicate.name, predicate.arity),
-            ).fetchall()
-        return [
-            self._decode_row(predicate.name, predicate.arity, args)
-            for (args,) in rows
-        ]
-
-    def count(self, predicate: Predicate) -> int:
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT COUNT(*) FROM facts WHERE predicate = ? AND arity = ?",
-                (predicate.name, predicate.arity),
-            ).fetchone()
-        return int(row[0])
-
-    def predicates(self) -> Iterable[Predicate]:
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT DISTINCT predicate, arity FROM facts"
-            ).fetchall()
-        return [Predicate(name, arity) for name, arity in rows]
-
-    def close(self) -> None:
-        with self._lock:
-            self._connection.close()

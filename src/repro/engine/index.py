@@ -39,9 +39,9 @@ the atom edge entirely via the row-plane surface (:meth:`RelationIndex.rows_of`,
 :meth:`RelationIndex.rows_for`, :meth:`RelationIndex.contains_row`,
 :meth:`RelationIndex.rows_added_since`, :meth:`RelationIndex.add_row`).
 
-The underlying tuple store is pluggable (see :mod:`repro.engine.backend`);
-hash indexes and the delta log always live in memory, they are access-path
-metadata, not primary storage.
+Rows are stored in a :class:`~repro.engine.backend.MemoryBackend` (an
+:class:`~repro.engine.backend.OverlayBackend` for forks); the hash indexes
+and the delta log are access-path metadata kept beside it.
 
 This module also hosts the term helpers the engine layers share
 (``is_flexible``, ``resolve_term``), here so every layer can use them without
@@ -219,10 +219,10 @@ class RelationIndex:
     ----------
     atoms:
         Initial contents.
-    backend:
-        Tuple storage (defaults to :class:`~repro.engine.backend.MemoryBackend`).
-        A pre-populated backend is adopted as-is; its existing atoms are
-        replayed into the delta log so ``added_since(0)`` stays exhaustive.
+    symbols:
+        The interning table rows are encoded against (defaults to the
+        process-wide table).  Rows of indexes on different tables cannot be
+        compared, so the engine rejects mixing them.
     statistics:
         Optional shared counters; the index reports lazily built hash indexes,
         derived/removed/encoded tuples, snapshots, forks, and pattern-table
@@ -245,17 +245,10 @@ class RelationIndex:
         self,
         atoms: Iterable[Atom] = (),
         *,
-        backend: Optional[StorageBackend] = None,
+        symbols: Optional[SymbolTable] = None,
         statistics: Optional[EngineStatistics] = None,
     ):
-        self._init_state(
-            backend if backend is not None else MemoryBackend(), statistics
-        )
-        if backend is not None and len(backend):
-            encode = backend.symbols.encode_atom
-            self._log.extend(
-                (atom.predicate, encode(atom)) for atom in backend
-            )
+        self._init_state(MemoryBackend(symbols), statistics)
         for atom in atoms:
             self.add(atom)
 
@@ -514,11 +507,7 @@ class RelationIndex:
         """Forget the delta log before *tick* (a tick of this branch).
 
         Fixpoint drivers call this once a round's delta has been fully
-        consumed, so the log never holds more than one round of atoms — the
-        piece that matters when the backend is out-of-core and the index
-        should not pin every atom in memory.  (Lazily built hash indexes
-        still reference rows; drop the index, or avoid bound-position
-        lookups, for truly memory-light scans.)
+        consumed, so the log never holds more than one round of rows.
         """
         self._check_branch(tick, "compact")
         if tick <= self._log_offset:
@@ -621,13 +610,12 @@ class RelationIndex:
 class RelationSnapshot:
     """An immutable view of a :class:`RelationIndex` at one version.
 
-    The snapshot pins the backend contents (copy-on-write where the backend
-    supports it, guarded otherwise) and shares the head's pattern hash
-    tables; tables the head has not built yet are built on demand — on the
-    *head* while the head is still at the snapshot's version (so the work is
-    reused by future snapshots and maintained incrementally by head
-    mutations), and privately from the pinned backend view once the head has
-    moved on.
+    The snapshot pins the backend contents (a copy-on-write view) and shares
+    the head's pattern hash tables; tables the head has not built yet are
+    built on demand — on the *head* while the head is still at the
+    snapshot's version (so the work is reused by future snapshots and
+    maintained incrementally by head mutations), and privately from the
+    pinned backend view once the head has moved on.
 
     Snapshots answer the full read surface of an index (membership, scans,
     ``candidates_for``, counts) and spawn writable branches via :meth:`fork`.
@@ -821,9 +809,8 @@ class OverlayRelationIndex(RelationIndex):
     re-inserting a tombstoned atom *clears* the tombstone, making the base
     atom visible again (a "resurrection" — it does **not** create an
     overlay-local copy, which is why :meth:`_note_added` only indexes
-    genuinely local additions).  The base snapshot must stay immutable while
-    the fork is alive; copy-on-write backends guarantee that, guarded views
-    raise if it is violated.
+    genuinely local additions).  The base snapshot's copy-on-write view
+    never changes, whatever later happens to its head.
 
     The branch has its own delta log starting empty at the fork point (the
     base atoms are *not* replayed — semi-naive drivers scan the full index on

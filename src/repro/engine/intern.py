@@ -215,6 +215,10 @@ class SymbolTable:
             cache = self._atoms.setdefault(predicate, {})
         return cache
 
+    def cached_atoms(self) -> int:
+        """The number of canonical atoms held by the decode cache."""
+        return sum(len(cache) for cache in list(self._atoms.values()))
+
     def __len__(self) -> int:
         return len(self._terms)
 

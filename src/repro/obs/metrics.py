@@ -123,7 +123,10 @@ class Gauge:
     sampled (and summed, plus the set value) at collection time.  Callbacks
     are how the service layer exposes live state (queue depth, epoch lag)
     without a write on every transition; they are removed on
-    ``DatalogService.close()`` so a dead service stops reporting.
+    ``DatalogService.close()`` so a dead service stops reporting.  Equal
+    callbacks are sampled once: owners that share one source (every service
+    reporting the process-wide symbol table) each add and remove the same
+    bound method without counting it twice.
     """
 
     kind = "gauge"
@@ -161,7 +164,7 @@ class Gauge:
         with self._lock:
             callbacks = list(self._callbacks)
             value = self._value
-        for fn in callbacks:
+        for fn in dict.fromkeys(callbacks):
             try:
                 value += fn()
             except Exception:

@@ -783,9 +783,11 @@ class ReplicationServer:
             if hello_payload is None:
                 return
             hello = json.loads(hello_payload.decode("utf-8"))
-            if hello.get("kind") != "hello":
+            if not isinstance(hello, dict) or hello.get("kind") != "hello":
                 return
             cursor: Optional[int] = hello.get("last")
+            if cursor is not None and type(cursor) is not int:
+                return  # not a revision (``type`` also rejects bools)
             threading.Thread(
                 target=self._ack_loop,
                 args=(connection,),
@@ -831,12 +833,12 @@ class ReplicationServer:
                 record = json.loads(payload.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
                 return
-            if record.get("kind") == "ack":
+            if isinstance(record, dict) and record.get("kind") == "ack":
                 try:
                     self._publisher.ack(
                         str(record["replica"]), int(record["revision"])
                     )
-                except (KeyError, TypeError, ValueError):
+                except (KeyError, TypeError, ValueError, OverflowError):
                     continue
 
     def close(self) -> None:

@@ -145,11 +145,6 @@ class ServiceStatistics:
     #: ``service_replication_errors``.
     replication_records: int = 0
     replication_errors: int = 0
-    #: size of the process-wide engine symbol table, sampled at each epoch
-    #: publish and at ``stats()`` — how many distinct ground terms the
-    #: interned storage core has ever seen (exported as
-    #: ``service_symbols_interned``).
-    symbols_interned: int = 0
     engine: EngineStatistics = field(default_factory=EngineStatistics)
 
 
@@ -441,7 +436,24 @@ class DatalogService:
             "service_subscriptions_active",
             help="Live (not unsubscribed, not closed) subscriptions.",
         )
+        # What grows with the data: the interned terms and the decode cache
+        # of canonical atoms, both held by the process-wide symbol table.
+        symbols = global_symbols()
         self._gauge_callbacks = [
+            (
+                self._metrics.gauge(
+                    "engine_symbols_interned",
+                    help="Ground terms interned by the process-wide symbol table.",
+                ),
+                symbols.__len__,
+            ),
+            (
+                self._metrics.gauge(
+                    "engine_atom_cache_entries",
+                    help="Canonical atoms held by the symbol table's decode cache.",
+                ),
+                symbols.cached_atoms,
+            ),
             (
                 self._subscriptions_gauge,
                 lambda: self._subscriptions.active_count(),
@@ -1139,7 +1151,6 @@ class DatalogService:
         self._published_at = time.time()
         with self._stats_lock:
             self.statistics.epochs_published += 1
-            self.statistics.symbols_interned = len(global_symbols())
         if span is not None:
             span.finish(
                 revision=self._epoch.revision, facts=len(self._epoch.snapshot)
@@ -1154,12 +1165,12 @@ class DatalogService:
         the ``service_read_latency_seconds`` histogram, the thread-safe
         ``service_snapshot_index_builds`` counter, and the live gauges —
         ``service_queue_depth``, ``service_epoch_lag_seconds``,
-        ``service_pending_futures``.  Feed it to
-        :func:`repro.obs.prometheus_text` / :func:`repro.obs.json_snapshot`
-        to export, or ``.diff(earlier)`` two of them for interval rates.
+        ``service_pending_futures``, and the symbol-table growth gauges
+        ``engine_symbols_interned`` / ``engine_atom_cache_entries``.  Feed
+        it to :func:`repro.obs.prometheus_text` /
+        :func:`repro.obs.json_snapshot` to export, or ``.diff(earlier)`` two
+        of them for interval rates.
         """
-        with self._stats_lock:
-            self.statistics.symbols_interned = len(global_symbols())
         return self._metrics.snapshot()
 
     # ------------------------------------------------------------- lifecycle

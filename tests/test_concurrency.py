@@ -19,9 +19,9 @@ answers, and ``close()`` racing writer deliveries blocked on full queues
 (``TestSubscriptionStress``; single-threaded delivery semantics live in
 ``tests/test_subscriptions.py``) — and the engine-level guarantees it all
 builds on: cold lazy pattern tables built once under the per-snapshot lock
-while 8 threads hammer them through a barrier, and the SQLite backend's
-thread-affinity fix (snapshot and read a sqlite-backed index from threads
-other than its creator, which used to raise ``ProgrammingError``).
+while 8 threads hammer them through a barrier, overlay forks of one shared
+snapshot written and read from several threads, and concurrent membership
+probes on one index.
 """
 
 from __future__ import annotations
@@ -35,11 +35,7 @@ import pytest
 from repro import DatalogService, parse_program, parse_query
 from repro.core.atoms import Atom, Predicate
 from repro.core.terms import Constant, Variable
-from repro.engine import (
-    EngineStatistics,
-    RelationIndex,
-    SQLiteBackend,
-)
+from repro.engine import EngineStatistics, RelationIndex
 from repro.query import full_fixpoint_answers
 
 LINK = Predicate("link", 2)
@@ -405,45 +401,9 @@ class TestSnapshotConcurrency:
         assert not errors, errors
         assert snapshot.atoms() == pinned
 
-
-class TestSQLiteThreadAffinity:
-    def _sqlite_index(self) -> RelationIndex:
-        index = RelationIndex(backend=SQLiteBackend())
-        for atom in ATOM_POOL[:10]:
-            index.add(atom)
-        return index
-
-    def test_snapshot_readable_from_second_thread(self):
-        """Regression: sqlite connections are thread-bound by default, so
-        reading a sqlite-backed snapshot from another thread raised
-        ``sqlite3.ProgrammingError`` before ``check_same_thread=False``."""
-        index = self._sqlite_index()
-        snapshot = index.snapshot()
-        expected = frozenset(ATOM_POOL[:10])
-        outcome: list = []
-        errors: list = []
-
-        def read() -> None:
-            try:
-                assert snapshot.atoms() == expected
-                assert ATOM_POOL[0] in snapshot
-                assert snapshot.count(LINK) == 10
-                pattern = Atom(LINK, (Constant("a"), Variable("X")))
-                outcome.append(frozenset(snapshot.candidates_for(pattern)))
-            except BaseException as error:
-                errors.append(error)
-
-        thread = threading.Thread(target=read)
-        thread.start()
-        _join_all([thread])
-        assert not errors, errors
-        assert outcome[0] == frozenset(
-            atom for atom in ATOM_POOL[:10] if atom.terms[0] == Constant("a")
-        )
-
     def test_overlay_fork_readable_from_many_threads(self):
-        index = self._sqlite_index()
-        snapshot = index.snapshot()
+        index = RelationIndex(ATOM_POOL[:10])
+        snapshot = index.snapshot().detach()
         barrier = threading.Barrier(4)
         errors: list = []
 
@@ -465,7 +425,7 @@ class TestSQLiteThreadAffinity:
         assert not errors, errors
 
     def test_concurrent_membership_probes(self):
-        index = self._sqlite_index()
+        index = RelationIndex(ATOM_POOL[:10])
         errors: list = []
 
         def probe(worker_seed: int) -> None:

@@ -2,9 +2,9 @@
 
 Two guarantees, both enforced in CI (the ``docs`` job):
 
-* every fenced ```` ```python ```` block in ``docs/*.md`` runs without
-  raising — blocks within one file share a namespace and run top to bottom,
-  so later blocks may build on earlier ones;
+* every fenced ```` ```python ```` block in ``docs/*.md`` and ``README.md``
+  runs without raising — blocks within one file share a namespace and run
+  top to bottom, so later blocks may build on earlier ones;
 * every relative markdown link in ``docs/*.md`` and ``README.md`` points at
   an existing file (external ``http(s)`` links are format-checked only; the
   suite runs offline).
@@ -21,7 +21,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS = REPO_ROOT / "docs"
 
 DOC_FILES = sorted(DOCS.glob("*.md"))
-LINKED_FILES = DOC_FILES + [REPO_ROOT / "README.md"]
+MARKDOWN_FILES = DOC_FILES + [REPO_ROOT / "README.md"]
 
 _FENCE_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -36,7 +36,7 @@ def test_docs_exist_and_have_executable_content():
     assert any(python_blocks(path) for path in DOC_FILES)
 
 
-@pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MARKDOWN_FILES, ids=lambda p: p.name)
 def test_docs_python_blocks_execute(path):
     blocks = python_blocks(path)
     namespace: dict = {"__name__": f"docs.{path.stem}"}
@@ -49,7 +49,7 @@ def test_docs_python_blocks_execute(path):
             )
 
 
-@pytest.mark.parametrize("path", LINKED_FILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MARKDOWN_FILES, ids=lambda p: p.name)
 def test_markdown_links_resolve(path):
     text = path.read_text()
     for target in _LINK_RE.findall(text):

@@ -37,6 +37,7 @@ from repro.errors import DurabilityError
 from repro.obs.metrics import MetricsRegistry
 from repro.query.session import QuerySession
 from repro.service import DatalogService, DurabilityConfig
+from repro.service.framing import frame
 from repro.service.durability import (
     CheckpointStore,
     DurabilityManager,
@@ -441,6 +442,48 @@ def test_compact_log_false_recovers_through_corrupt_checkpoints(tmp_path):
         assert reopened.facts == expected_facts
     finally:
         reopened.close()
+
+
+def test_v1_store_recovers(tmp_path):
+    """Stores written before interning stay readable: a format-1 checkpoint
+    and v1 log records, both with structural atoms inline, recover to the
+    same facts, revision and answers."""
+
+    def record(payload: dict) -> bytes:
+        return frame(json.dumps(payload).encode("utf-8"))
+
+    (tmp_path / "checkpoint-0000000001.ckpt").write_bytes(
+        b"REPROCKP1\n"
+        + record(
+            {
+                "batch_id": 1,
+                "revision": 1,
+                "digest": None,
+                "facts": [encode_atom(edge(0, 1))],
+                "warm": None,
+            }
+        )
+    )
+    (tmp_path / "facts.wal").write_bytes(
+        b"REPROWAL1\n"
+        # Batch 1 is inside the checkpoint already: recovery must skip it.
+        + record({"batch": 1, "ops": [["add", [encode_atom(edge(0, 1))]]]})
+        + record({"batch": 2, "ops": [["add", [encode_atom(edge(1, 2))]]]})
+    )
+    registry = MetricsRegistry()
+    service = DatalogService(
+        (), rules(), durability=DurabilityConfig(path=tmp_path), metrics=registry
+    )
+    try:
+        assert service.facts == frozenset({edge(0, 1), edge(1, 2)})
+        assert service.revision == 2
+        assert registry.snapshot().counters["service_recovered_batches"] == 1
+        assert service.answers(probe()) == {
+            (Constant("v1"),),
+            (Constant("v2"),),
+        }
+    finally:
+        service.close()
 
 
 def test_checkpoint_requires_durability():

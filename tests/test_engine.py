@@ -1,8 +1,8 @@
 """Unit tests for the repro.engine subsystem.
 
 Covers the multi-key :class:`RelationIndex` (access patterns, lazy hash-index
-construction, delta tracking), the storage backends (memory and sqlite3
-equivalence), the join planner (bound-connectivity / smallest-relation-first
+construction, delta tracking), the storage backends (the row-plane contract
+of the memory and overlay stores), the join planner (bound-connectivity / smallest-relation-first
 ordering) and the semi-naive fixpoint driver (equivalence with a naive
 reference evaluation).
 """
@@ -22,7 +22,6 @@ from repro.engine import (
     OverlayRelationIndex,
     RelationIndex,
     RelationSnapshot,
-    SQLiteBackend,
     compile_rule,
     enumerate_matches,
     fixpoint,
@@ -135,10 +134,17 @@ class TestRelationIndex:
 #: overlay (constructed over an empty memory base).
 BACKEND_FACTORIES = [
     MemoryBackend,
-    SQLiteBackend,
     lambda: OverlayBackend(MemoryBackend()),
 ]
-BACKEND_IDS = ["memory", "sqlite", "overlay"]
+BACKEND_IDS = ["memory", "overlay"]
+
+
+def insert(backend, atom) -> bool:
+    return backend.insert_row(atom.predicate, backend.symbols.encode_atom(atom))
+
+
+def remove(backend, atom) -> bool:
+    return backend.remove_row(atom.predicate, backend.symbols.encode_atom(atom))
 
 
 class TestBackends:
@@ -147,14 +153,18 @@ class TestBackends:
     )
     def test_backend_contract(self, backend_factory):
         backend = backend_factory()
-        assert backend.insert(edge(a, b))
-        assert not backend.insert(edge(a, b))
-        assert backend.insert(node(a))
+        assert insert(backend, edge(a, b))
+        assert not insert(backend, edge(a, b))
+        assert insert(backend, node(a))
         assert edge(a, b) in backend
         assert edge(b, a) not in backend
+        assert backend.contains_row(edge, backend.symbols.encode_atom(edge(a, b)))
         assert len(backend) == 2
         assert set(backend) == {edge(a, b), node(a)}
         assert set(backend.atoms_of(edge)) == {edge(a, b)}
+        assert list(backend.rows_of(edge)) == [
+            backend.symbols.encode_atom(edge(a, b))
+        ]
         assert backend.count(edge) == 1
         assert set(backend.predicates()) == {edge, node}
 
@@ -163,29 +173,29 @@ class TestBackends:
     )
     def test_backend_remove_contract(self, backend_factory):
         backend = backend_factory()
-        backend.insert(edge(a, b))
-        backend.insert(edge(b, c))
-        backend.insert(node(a))
-        assert backend.remove(edge(a, b))
-        assert not backend.remove(edge(a, b))  # already gone
-        assert not backend.remove(edge(c, d))  # never present
+        insert(backend, edge(a, b))
+        insert(backend, edge(b, c))
+        insert(backend, node(a))
+        assert remove(backend, edge(a, b))
+        assert not remove(backend, edge(a, b))  # already gone
+        assert not remove(backend, edge(c, d))  # never present
         assert edge(a, b) not in backend
         assert len(backend) == 2
         assert set(backend) == {edge(b, c), node(a)}
         assert set(backend.atoms_of(edge)) == {edge(b, c)}
         assert backend.count(edge) == 1
         # Removal does not break re-insertion.
-        assert backend.insert(edge(a, b))
+        assert insert(backend, edge(a, b))
         assert edge(a, b) in backend
         assert backend.count(edge) == 2
 
     def test_memory_snapshot_is_stable_under_mutation(self):
         backend = MemoryBackend()
-        backend.insert(edge(a, b))
-        backend.insert(node(a))
+        insert(backend, edge(a, b))
+        insert(backend, node(a))
         view = backend.snapshot()
-        backend.insert(edge(b, c))
-        backend.remove(node(a))
+        insert(backend, edge(b, c))
+        remove(backend, node(a))
         # The head sees its own mutations ...
         assert set(backend) == {edge(a, b), edge(b, c)}
         # ... while the snapshot still serves the pinned contents.
@@ -193,147 +203,39 @@ class TestBackends:
         assert view.count(edge) == 1
         assert node(a) in view
 
-    def test_sqlite_snapshot_is_guarded(self):
-        backend = SQLiteBackend()
-        backend.insert(edge(a, b))
-        view = backend.snapshot()
-        assert edge(a, b) in view  # valid while the base is unchanged
-        backend.insert(edge(b, c))
-        with pytest.raises(RuntimeError, match="snapshot invalidated"):
-            edge(a, b) in view
-        with pytest.raises(TypeError, match="read-only"):
-            view.insert(edge(c, d))
-
     def test_overlay_tombstones_and_resurrection(self):
         base = MemoryBackend()
-        base.insert(edge(a, b))
-        base.insert(edge(b, c))
+        insert(base, edge(a, b))
+        insert(base, edge(b, c))
         overlay = OverlayBackend(base.snapshot())
         # Remove a base atom: tombstoned, base untouched.
-        assert overlay.remove(edge(a, b))
+        assert remove(overlay, edge(a, b))
         assert edge(a, b) not in overlay
         assert edge(a, b) in base
         assert overlay.count(edge) == 1
         assert set(overlay.atoms_of(edge)) == {edge(b, c)}
         # Re-insert it: the tombstone clears, no duplicate is stored.
-        assert overlay.insert(edge(a, b))
+        assert insert(overlay, edge(a, b))
         assert edge(a, b) in overlay
         assert overlay.count(edge) == 2
         assert len(overlay.local) == 0
         # Local additions/removals never touch the base.
-        assert overlay.insert(edge(c, d))
-        assert overlay.remove(edge(c, d))
+        assert insert(overlay, edge(c, d))
+        assert remove(overlay, edge(c, d))
         assert edge(c, d) not in overlay
         assert set(base) == {edge(a, b), edge(b, c)}
 
-    def test_sqlite_roundtrips_function_terms_and_nulls(self):
+    def test_roundtrips_function_terms_and_nulls(self):
         from repro.core.terms import FunctionTerm, Null
 
-        backend = SQLiteBackend()
+        backend = MemoryBackend()
         fancy = edge(FunctionTerm("f", (a, FunctionTerm("g", (b,)))), Null("n1"))
-        assert backend.insert(fancy)
+        assert insert(backend, fancy)
         assert fancy in backend
         (stored,) = list(backend)
         assert stored == fancy
-
-    def test_sqlite_persists_across_connections(self, tmp_path):
-        path = str(tmp_path / "facts.db")
-        first = SQLiteBackend(path)
-        first.insert(edge(a, b))
-        first.insert(node(c))
-        first.close()
-        reopened = SQLiteBackend(path)
-        assert set(reopened) == {edge(a, b), node(c)}
-        assert not reopened.insert(edge(a, b))  # dedup survives reopen
-
-    def test_sqlite_opens_with_explicit_durability_pragmas(self, tmp_path):
-        backend = SQLiteBackend(str(tmp_path / "facts.db"))
-        (mode,) = backend._connection.execute(
-            "PRAGMA journal_mode"
-        ).fetchone()
-        assert mode == "wal"
-        (synchronous,) = backend._connection.execute(
-            "PRAGMA synchronous"
-        ).fetchone()
-        assert synchronous == 1  # NORMAL
-        # :memory: databases have no WAL to speak of, but must still open.
-        transient = SQLiteBackend()
-        (mode,) = transient._connection.execute(
-            "PRAGMA journal_mode"
-        ).fetchone()
-        assert mode == "memory"
-
-    def test_sqlite_copied_mid_transaction_db_opens_clean(self, tmp_path):
-        """The defined-crash-semantics regression of the durability PR.
-
-        A database file copied together with its WAL sidecar *while an
-        uncommitted write transaction is in flight* models the on-disk
-        state a kill lands on.  Opening the copy must succeed, roll the
-        torn transaction back (journal_mode=WAL), keep every committed
-        row, and pass an integrity check.
-        """
-        import shutil
-        import sqlite3
-
-        path = tmp_path / "facts.db"
-        backend = SQLiteBackend(str(path))
-        committed = {edge(a, b), node(c)}
-        for atom in committed:
-            backend.insert(atom)
-        # Open an explicit transaction and leave it hanging mid-write.
-        backend._connection.execute("BEGIN")
-        backend._connection.execute(
-            "INSERT INTO facts (predicate, arity, args, seq)"
-            " VALUES ('torn', 0, '', 999)"
-        )
-        copy_dir = tmp_path / "copy"
-        copy_dir.mkdir()
-        for sidecar in tmp_path.glob("facts.db*"):
-            shutil.copy(sidecar, copy_dir / sidecar.name)
-        backend._connection.rollback()
-        backend.close()
-
-        reopened = SQLiteBackend(str(copy_dir / "facts.db"))
-        assert set(reopened) == committed  # torn insert rolled back
-        (verdict,) = reopened._connection.execute(
-            "PRAGMA integrity_check"
-        ).fetchone()
-        assert verdict == "ok"
-        reopened.close()
-
-        # And plain sqlite3 agrees the copy is a healthy database.
-        connection = sqlite3.connect(copy_dir / "facts.db")
-        (count,) = connection.execute(
-            "SELECT COUNT(*) FROM facts WHERE predicate = 'torn'"
-        ).fetchone()
-        assert count == 0
-        connection.close()
-
-    def test_sqlite_decoder_rejects_tampered_rows(self):
-        backend = SQLiteBackend()
-        backend.insert(node(a))
-        backend._connection.execute(
-            "UPDATE facts SET args = ?",
-            ("().__class__.__bases__[0].__subclasses__()",),
-        )
-        with pytest.raises(ValueError, match="malformed term encoding"):
-            list(backend)
-
-    def test_sqlite_backed_index_matches_memory_backed_fixpoint(self):
-        program = skolemize(
-            parse_program(
-                """
-                e(X, Y) -> p(X, Y)
-                e(X, Y), p(Y, Z) -> p(X, Z)
-                """
-            )
-        )
-        facts = chain_atoms(6)
-        facts = [Atom(Predicate("e", 2), atom.terms) for atom in facts]
-        memory = fixpoint(program, facts)
-        sqlite_index = RelationIndex(backend=SQLiteBackend())
-        out_of_core = fixpoint(program, facts, index=sqlite_index)
-        assert memory.atoms() == out_of_core.atoms()
+        assert remove(backend, fancy)
+        assert fancy not in backend
 
 
 # ---------------------------------------------------------------------------

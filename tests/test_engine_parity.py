@@ -622,14 +622,14 @@ class TestInternedExecutorParity:
     def test_foreign_table_negation_oracle_raises(self):
         from repro.core.atoms import Predicate
         from repro.core.terms import Constant, Variable
-        from repro.engine import MemoryBackend, SymbolTable, fixpoint
+        from repro.engine import SymbolTable, fixpoint
         from repro.engine.planner import CompiledRule, enumerate_matches
         from repro.lp.programs import NormalRule
 
         p, q = Predicate("p", 1), Predicate("q", 1)
         X = Variable("X")
         index = RelationIndex([p(Constant("a"))])
-        foreign = RelationIndex(backend=MemoryBackend(SymbolTable()))
+        foreign = RelationIndex(symbols=SymbolTable())
         rule = CompiledRule(heads=(), positive=(p(X),), negative=(q(X),))
         with pytest.raises(ValueError, match="SymbolTable"):
             list(enumerate_matches(rule, index, negative_against=foreign))

@@ -23,8 +23,10 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -37,7 +39,7 @@ from repro.errors import ReplicationError
 from repro.obs.metrics import MetricsRegistry
 from repro.query import QuerySession
 from repro.service import DatalogService
-from repro.service.framing import frame
+from repro.service.framing import frame, write_frame
 from repro.service.net import (
     LocalReplicaLink,
     Replica,
@@ -449,6 +451,78 @@ class TestTCPTransport:
         finally:
             publisher.close()
             svc.close()
+
+    def test_malformed_peer_frames_never_raise_in_server_threads(
+        self, monkeypatch
+    ):
+        """A peer that speaks well-framed nonsense is dropped or ignored:
+        no server thread dies with an uncaught exception, and a well-formed
+        replica still syncs afterwards."""
+        uncaught: list = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+
+        def connect(*payloads: bytes) -> socket.socket:
+            peer = socket.create_connection(server.address, timeout=5)
+            for payload in payloads:
+                write_frame(peer, payload)
+            return peer
+
+        def dropped(peer: socket.socket) -> bool:
+            try:
+                while peer.recv(65536):
+                    pass  # drain whatever the server streams first
+            except socket.timeout:
+                return False
+            return True
+
+        svc = service()
+        publisher = ReplicationPublisher(svc)
+        server = ReplicationServer(publisher)
+        target = replica(replica_id="tcp-after-garbage")
+        peers = []
+        client = None
+        try:
+            not_a_hello = connect(b"[]")
+            peers.append(not_a_hello)
+            bad_cursor = connect(b'{"kind":"hello","last":"x"}')
+            peers.append(bad_cursor)
+            bad_acks = connect(
+                b'{"kind":"hello","last":null}',
+                b"[]",
+                b'{"kind":"ack","replica":"junk","revision":1e999}',
+                b'{"kind":"ack","replica":"probe","revision":0}',
+            )
+            peers.append(bad_acks)
+            # The well-formed ack behind the garbage proves the ack reader
+            # survived it.
+            deadline = time.monotonic() + 10
+            while (
+                "probe" not in publisher.watermarks()
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            # A publish wakes every sender, including one holding a
+            # non-integer cursor had it been accepted.
+            svc.add_facts([link("a", "b")]).result()
+            links_dropped = [dropped(not_a_hello), dropped(bad_cursor)]
+            client = ReplicationClient(server.address, target)
+            assert client.wait_for_revision(svc.revision, timeout=30)
+            assert target.facts == svc.facts
+        finally:
+            if client is not None:
+                client.close()
+            for peer in peers:
+                peer.close()
+            server.close()
+            target.close()
+            publisher.close()
+            svc.close()
+        assert not uncaught, [
+            f"{hook.thread.name}: {hook.exc_value!r}" for hook in uncaught
+        ]
+        assert links_dropped == [True, True]
+        assert "probe" in publisher.watermarks()
+        assert "junk" not in publisher.watermarks()
 
     def test_late_joiner_bootstraps_from_snapshot(self):
         svc = service()

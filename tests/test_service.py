@@ -18,6 +18,7 @@ Two halves:
 from __future__ import annotations
 
 import random
+import uuid
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,8 @@ from repro import (
 )
 from repro.core.atoms import Atom, Predicate
 from repro.core.terms import Constant
+from repro.engine import global_symbols
+from repro.obs.metrics import MetricsRegistry
 from repro.query import QuerySession, full_fixpoint_answers
 
 LINK = Predicate("link", 2)
@@ -400,6 +403,41 @@ class TestFallbackService:
         ) as service:
             with pytest.raises(Exception):
                 service.answers(parse_query("?(X) :- r(X)"))
+
+
+class TestSymbolTableGauges:
+    """``engine_symbols_interned`` / ``engine_atom_cache_entries`` answer
+    "what is growing?" for the process-wide symbol table."""
+
+    def test_fresh_constants_raise_both_gauges(self):
+        with DatalogService(rules=RULES, metrics=MetricsRegistry()) as service:
+            before = service.stats().gauges
+            tag = f"n{uuid.uuid4().hex}"
+            chain = [link(f"{tag}x{i}", f"{tag}x{i + 1}") for i in range(4)]
+            service.add_facts(chain).result(5)
+            service.answers(parse_query(f"?(Y) :- reachable({tag}x0, Y)"))
+            after = service.stats().gauges
+        assert (
+            after["engine_symbols_interned"]
+            >= before["engine_symbols_interned"] + 5
+        )
+        assert (
+            after["engine_atom_cache_entries"]
+            >= before["engine_atom_cache_entries"] + 4
+        )
+
+    def test_shared_registry_samples_the_table_once(self):
+        registry = MetricsRegistry()
+
+        def interned() -> float:
+            return registry.snapshot().gauges["engine_symbols_interned"]
+
+        with DatalogService(rules=RULES, metrics=registry):
+            with DatalogService(rules=RULES, metrics=registry):
+                assert interned() == len(global_symbols())
+            # One owner closed; the other still reports the table.
+            assert interned() == len(global_symbols())
+        assert interned() == 0
 
 
 class TestEpochLagGauge:
