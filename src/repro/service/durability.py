@@ -22,13 +22,16 @@ gives it crash recovery with a classic two-file arrangement:
   recorded in every log record make replay *idempotent*: records at or below
   the checkpoint's high-water batch id are skipped, so a crash landing
   between the checkpoint rename and the log compaction — or between an
-  fsync and the epoch publish — never applies a batch twice.
+  fsync and the epoch publish — never applies a batch twice.  A tail that
+  skips a batch id raises instead of replaying across the gap.
 
-Every payload is JSON with a structural term encoding (``["c", name]`` /
-``["n", label]`` / ``["v", name]`` / ``["f", fn, [args]]``) rather than a
-rendered string: renderings conflate constants, nulls, and variables whose
-names collide, and these records must round-trip *any* atom the engine can
-hold.
+Every payload — WAL record, checkpoint, replication frame — is JSON in one
+term layout (:func:`encode_rows` / :func:`decode_rows`): a symbol section
+holding each distinct term once, structurally encoded (``["c", name]`` /
+``["n", label]`` / ``["v", name]`` / ``["f", fn, [args]]``, since a rendered
+string conflates terms whose names collide), plus atoms as ``[predicate,
+[id, ...]]`` integer rows.  A checkpoint (format 3) encodes its facts and
+warm state against one table; format 2 recovers cold, older formats raise.
 
 Crash-fuzz hooks: when the environment variable ``REPRO_CRASH_POINT`` is set
 to ``"<point>:<k>"``, the process SIGKILLs itself at the *k*-th hit of the
@@ -50,18 +53,21 @@ import json
 import os
 import signal
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..core.atoms import Atom, Literal, Predicate
 from ..core.queries import ConjunctiveQuery
 from ..core.terms import Constant, FunctionTerm, Null, Term, Variable
-from ..errors import DurabilityError
+from ..errors import DurabilityError, SafetyError
 from ..obs.metrics import MetricsRegistry, global_registry
 from ..obs.trace import get_tracer
 from ..query.session import AnswerExport, ViewExport, WarmState
-from .framing import FRAME_HEADER as _HEADER, frame as _frame, scan_frames as _scan_frames
+from .framing import frame, scan_frames
 
 __all__ = [
     "CheckpointStore",
@@ -69,6 +75,8 @@ __all__ = [
     "DurabilityManager",
     "FactLog",
     "RecoveredState",
+    "decode_rows",
+    "encode_rows",
 ]
 
 try:  # pragma: no cover - platform probe
@@ -114,12 +122,12 @@ def _maybe_crash(point: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# structural JSON codec (terms, atoms, queries, warm state)
+# the one term layout: a symbol table plus integer rows
 # --------------------------------------------------------------------------
 
 
 def encode_term(term: Term) -> list:
-    """Structurally encode a term as a JSON-serialisable tagged list."""
+    """Structurally encode one symbol-table entry as a tagged list."""
     if isinstance(term, Constant):
         return ["c", term.name]
     if isinstance(term, Null):
@@ -152,45 +160,11 @@ def decode_term(payload: Sequence) -> Term:
     raise DurabilityError(f"unknown term tag {tag!r}")
 
 
-def encode_atom(atom: Atom) -> list:
-    return [atom.predicate.name, [encode_term(term) for term in atom.terms]]
-
-
-def decode_atom(payload: Sequence) -> Atom:
-    name, terms = payload[0], payload[1]
-    return Atom(
-        Predicate(name, len(terms)),
-        tuple(decode_term(term) for term in terms),
-    )
-
-
-def encode_query(query: ConjunctiveQuery) -> dict:
-    return {
-        "literals": [
-            [encode_atom(literal.atom), literal.positive]
-            for literal in query.literals
-        ],
-        "answer": [encode_term(variable) for variable in query.answer_variables],
-    }
-
-
-def decode_query(payload: dict) -> ConjunctiveQuery:
-    literals = tuple(
-        Literal(decode_atom(atom), positive)
-        for atom, positive in payload["literals"]
-    )
-    answer = tuple(decode_term(variable) for variable in payload["answer"])
-    return ConjunctiveQuery(literals, answer)
-
-
 class _TermInterner:
     """Term → small-integer table: the persisted twin of the engine's
     :class:`~repro.engine.intern.SymbolTable`.
 
-    Durable payloads mirror the in-memory storage layout: one ``syms``
-    section holding each distinct ground term once (structurally encoded,
-    position = id) and atoms as ``[predicate, [id, ...]]`` integer rows.
-    Ids are file-local — the in-memory table's dense ids are process
+    Ids are payload-local — the in-memory table's dense ids are process
     lifetimes, never durable state — so any store can be recovered into any
     process and re-interned from scratch.
     """
@@ -211,125 +185,144 @@ class _TermInterner:
         return [atom.predicate.name, [self.ref(term) for term in atom.terms]]
 
 
-def _atom_from_row(payload: Sequence, table: Sequence[Term]) -> Atom:
-    name, ids = payload[0], payload[1]
+def _atom_from_row(row: Sequence, table: Sequence[Term]) -> Atom:
+    name, ids = row
     return Atom(
         Predicate(name, len(ids)), tuple(table[index] for index in ids)
     )
 
 
-class _AtomInterner:
-    """Atom → small-integer table for the warm-state encoding.
+@contextmanager
+def _decoding(what: str) -> Iterator[None]:
+    """Raise a payload that passed its checksum but does not decode as a
+    :class:`DurabilityError` naming *what*: damage, not a caller crash."""
+    try:
+        yield
+    except (
+        LookupError, TypeError, ValueError, AttributeError, SafetyError
+    ) as error:
+        raise DurabilityError(f"malformed {what}: {error!r}") from error
+
+
+def encode_rows(*groups: Iterable[Atom]) -> Tuple[list, List[list]]:
+    """Encode atom groups against one fresh symbol table: returns the
+    symbol section and, per group, its ``[predicate, [id, ...]]`` rows."""
+    interner = _TermInterner()
+    rows = [[interner.atom_row(atom) for atom in group] for group in groups]
+    return interner.encoded, rows
+
+
+def decode_rows(payload: dict, *keys: str) -> Tuple[Tuple[Atom, ...], ...]:
+    """Inverse of :func:`encode_rows` for the row lists under *keys* of a
+    payload whose symbol section is ``"syms"``; raises
+    :class:`DurabilityError` on malformed input."""
+    with _decoding("record"):
+        table = [decode_term(entry) for entry in payload["syms"]]
+        return tuple(
+            tuple(_atom_from_row(row, table) for row in payload[key])
+            for key in keys
+        )
+
+
+def _encode_warm_state(state: WarmState, interner: _TermInterner) -> dict:
+    """Encode a :class:`~repro.query.session.WarmState` against the
+    checkpoint's symbol table.
 
     Warm state repeats the same atoms relentlessly — a support record's
-    body atoms are other records' heads, the view base overlaps the fact
-    snapshot, answer rows share constants — so the payload stores each
-    distinct atom **once** in an ``"atoms"`` table and references it by
-    index everywhere else.  On a realistic checkpoint this shrinks the
-    file ~4x and, more importantly, turns recovery's dominant cost (tens
-    of thousands of redundant term decodes) into one decode per distinct
-    atom plus integer list indexing.
+    body atoms are other records' heads — so each distinct atom is stored
+    once, as a row of the ``"atoms"`` table, and referenced by index.
     """
+    atom_indices: Dict[Atom, int] = {}
+    atoms: List[list] = []
 
-    def __init__(self) -> None:
-        self._indices: Dict[Atom, int] = {}
-        self.encoded: List[list] = []
-
-    def ref(self, atom: Atom) -> int:
-        index = self._indices.get(atom)
+    def ref(atom: Atom) -> int:
+        index = atom_indices.get(atom)
         if index is None:
-            index = len(self.encoded)
-            self._indices[atom] = index
-            self.encoded.append(encode_atom(atom))
+            index = len(atoms)
+            atom_indices[atom] = index
+            atoms.append(interner.atom_row(atom))
         return index
 
+    def refs(items: Iterable[Atom]) -> List[int]:
+        return [ref(atom) for atom in items]
 
-def encode_warm_state(state: WarmState) -> dict:
-    """Encode a :class:`~repro.query.session.WarmState` for a checkpoint.
-
-    Atoms are interned (see :class:`_AtomInterner`); answer rows reuse the
-    table too, as single-atom rows of a pseudo-predicate, keeping one
-    codec path for everything.
-    """
-    interner = _AtomInterner()
-    row_predicate_cache: Dict[int, Predicate] = {}
-
-    def row_ref(row: Tuple[Term, ...]) -> int:
-        predicate = row_predicate_cache.get(len(row))
-        if predicate is None:
-            predicate = Predicate("\x00row", len(row))
-            row_predicate_cache[len(row)] = predicate
-        return interner.ref(Atom(predicate, row))
+    def query(value: ConjunctiveQuery) -> dict:
+        return {
+            "literals": [
+                [interner.atom_row(literal.atom), literal.positive]
+                for literal in value.literals
+            ],
+            "answer": [interner.ref(term) for term in value.answer_variables],
+        }
 
     views = [
         {
-            "query": encode_query(view.query),
-            "base": [interner.ref(atom) for atom in view.base],
-            "atoms": [interner.ref(atom) for atom in view.atoms],
+            "query": query(view.query),
+            "base": refs(view.base),
+            "atoms": refs(view.atoms),
             "records": [
-                [
-                    position,
-                    interner.ref(head),
-                    [interner.ref(atom) for atom in body],
-                    [interner.ref(atom) for atom in negative],
-                ]
+                [position, ref(head), refs(body), refs(negative)]
                 for position, head, body, negative in view.records
             ],
-            "seeds": [interner.ref(atom) for atom in view.seeds],
+            "seeds": refs(view.seeds),
         }
         for view in state.views
     ]
     answers = [
         {
-            "query": encode_query(entry.query),
-            "rows": [row_ref(row) for row in entry.answers],
+            "query": query(entry.query),
+            "rows": [
+                [interner.ref(term) for term in row] for row in entry.answers
+            ],
             "repairable": entry.repairable,
         }
         for entry in state.answers
     ]
-    return {"atoms": interner.encoded, "views": views, "answers": answers}
+    return {"atoms": atoms, "views": views, "answers": answers}
 
 
-def decode_warm_state(payload: dict) -> WarmState:
-    """Inverse of :func:`encode_warm_state`."""
-    table = [decode_atom(atom) for atom in payload["atoms"]]
+def _decode_warm_state(payload: dict, table: Sequence[Term]) -> WarmState:
+    """Inverse of :func:`_encode_warm_state` (call under :func:`_decoding`)."""
+    atoms = [_atom_from_row(row, table) for row in payload["atoms"]]
+
+    def query(value: dict) -> ConjunctiveQuery:
+        return ConjunctiveQuery(
+            tuple(
+                Literal(_atom_from_row(row, table), positive)
+                for row, positive in value["literals"]
+            ),
+            tuple(table[index] for index in value["answer"]),
+        )
+
     views = tuple(
         ViewExport(
-            query=decode_query(view["query"]),
-            base=tuple(table[ref] for ref in view["base"]),
-            atoms=tuple(table[ref] for ref in view["atoms"]),
+            query=query(view["query"]),
+            base=tuple(atoms[ref] for ref in view["base"]),
+            atoms=tuple(atoms[ref] for ref in view["atoms"]),
             records=tuple(
                 (
                     position,
-                    table[head],
-                    tuple(table[ref] for ref in body),
-                    tuple(table[ref] for ref in negative),
+                    atoms[head],
+                    tuple(atoms[ref] for ref in body),
+                    tuple(atoms[ref] for ref in negative),
                 )
                 for position, head, body, negative in view["records"]
             ),
-            seeds=tuple(table[ref] for ref in view["seeds"]),
+            seeds=tuple(atoms[ref] for ref in view["seeds"]),
         )
         for view in payload["views"]
     )
     answers = tuple(
         AnswerExport(
-            query=decode_query(entry["query"]),
-            answers=frozenset(table[ref].terms for ref in entry["rows"]),
+            query=query(entry["query"]),
+            answers=frozenset(
+                tuple(table[index] for index in row) for row in entry["rows"]
+            ),
             repairable=bool(entry["repairable"]),
         )
         for entry in payload["answers"]
     )
     return WarmState(views=views, answers=answers)
-
-
-# --------------------------------------------------------------------------
-# record framing — shared with the replication wire format
-# --------------------------------------------------------------------------
-#
-# The length + CRC-32 framing lives in :mod:`repro.service.framing` so the
-# replication stream (:mod:`repro.service.net.replication`) can speak the
-# exact same record format over sockets; the ``_HEADER`` / ``_frame`` /
-# ``_scan_frames`` names above are aliases kept for this module's callers.
 
 
 def _fsync_directory(path: Path) -> None:
@@ -472,8 +465,9 @@ LoggedBatch = Tuple[int, List[Tuple[str, Tuple[Atom, ...]]]]
 class FactLog:
     """Append-only write-ahead log of mutation batches.
 
-    One record per coalesced batch: ``{"batch": id, "ops": [[kind, [atom,
-    ...]], ...]}``, framed by :data:`_HEADER` (length + CRC-32).  ``fsync``
+    One record per coalesced batch: ``{"batch": id, "syms": [term, ...],
+    "ops": [[kind, [row, ...]], ...]}`` (see :func:`encode_rows`), framed by
+    :func:`~repro.service.framing.frame` (length + CRC-32).  ``fsync``
     batching is the caller's: :meth:`append` only pushes the record to the
     OS (a SIGKILL after ``append`` loses nothing), :meth:`sync` makes it
     power-loss durable; :class:`DatalogService` calls them back to back per
@@ -481,9 +475,8 @@ class FactLog:
     ``apply_batch``.
     """
 
-    def __init__(self, path: Union[str, Path], *, fsync: bool = True) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self._path = Path(path)
-        self._fsync = fsync
         self._file: Optional[io.BufferedRandom] = None
         self._fallback_lock: Optional[_LockFileGuard] = None
         #: bytes appended / records appended / fsyncs issued / tails truncated
@@ -551,7 +544,7 @@ class FactLog:
             raise DurabilityError(
                 f"{self._path} is not a repro write-ahead log"
             )
-        payloads, end = _scan_frames(data, len(_WAL_MAGIC))
+        payloads, end = scan_frames(data, len(_WAL_MAGIC))
         if end < len(data):
             self.torn_tails += 1
             self._file.seek(end)
@@ -561,23 +554,22 @@ class FactLog:
         else:
             self._file.seek(end)
         batches: List[LoggedBatch] = []
-        for payload in payloads:
-            record = json.loads(payload.decode("utf-8"))
-            syms = record.get("syms")
-            if syms is not None:
-                # v2 record: per-record symbol table + integer atom rows.
-                table = [decode_term(entry) for entry in syms]
+        for position, payload in enumerate(payloads):
+            what = f"record {position} of {self._path}"
+            with _decoding(what):
+                record = json.loads(payload.decode("utf-8"))
+                if isinstance(record, dict) and "syms" not in record:
+                    raise DurabilityError(
+                        f"{what} is a v1 (inline-atom) WAL record; this "
+                        "version reads only v2 records (symbol table plus "
+                        "integer rows)"
+                    )
+                table = [decode_term(entry) for entry in record["syms"]]
                 ops = [
-                    (kind, tuple(_atom_from_row(atom, table) for atom in atoms))
-                    for kind, atoms in record["ops"]
+                    (kind, tuple(_atom_from_row(row, table) for row in rows))
+                    for kind, rows in record["ops"]
                 ]
-            else:
-                # v1 record (pre-interning store): structural atoms inline.
-                ops = [
-                    (kind, tuple(decode_atom(atom) for atom in atoms))
-                    for kind, atoms in record["ops"]
-                ]
-            batches.append((record["batch"], ops))
+                batches.append((int(record["batch"]), ops))
         return batches
 
     def append(
@@ -585,40 +577,32 @@ class FactLog:
     ) -> int:
         """Append one batch record; returns the framed size in bytes.
 
-        Records are written in the v2 layout: a per-record ``syms`` term
-        table plus integer atom rows (see :class:`_TermInterner`) — each
-        distinct term of the batch is encoded once however often it recurs
-        across the batch's atoms.  :meth:`open_and_recover` reads v1
-        (inline structural atoms) and v2 records alike, so logs written by
-        older stores replay unchanged.
+        Each distinct term of the batch is encoded once in the record's
+        ``syms`` section however often it recurs across the batch's atoms.
         """
         assert self._file is not None, "log not opened"
-        interner = _TermInterner()
-        encoded_ops = [
-            [kind, [interner.atom_row(atom) for atom in atoms]]
-            for kind, atoms in ops
-        ]
+        symbols, rows = encode_rows(*(atoms for _, atoms in ops))
         payload = json.dumps(
             {
                 "batch": batch_id,
-                "syms": interner.encoded,
-                "ops": encoded_ops,
+                "syms": symbols,
+                "ops": [[kind, group] for (kind, _), group in zip(ops, rows)],
             },
             separators=(",", ":"),
         ).encode("utf-8")
-        frame = _frame(payload)
+        framed = frame(payload)
         if _crash_armed("wal.torn"):  # pragma: no cover - subprocess-only
             # A SIGKILL loses no OS-buffered bytes, so a genuinely torn tail
             # must be manufactured: push half the frame to the OS, then die.
-            self._file.write(frame[: max(1, len(frame) // 2)])
+            self._file.write(framed[: max(1, len(framed) // 2)])
             self._file.flush()
             _crash_now()
-        self._file.write(frame)
+        self._file.write(framed)
         self._file.flush()
         _maybe_crash("wal.pre_sync")
         self.records_written += 1
-        self.bytes_written += len(frame)
-        return len(frame)
+        self.bytes_written += len(framed)
+        return len(framed)
 
     def sync(self) -> None:
         """Make everything appended so far power-loss durable."""
@@ -627,7 +611,7 @@ class FactLog:
         _maybe_crash("wal.post_sync")
 
     def _do_sync(self) -> None:
-        if self._fsync and self._file is not None:
+        if self._file is not None:
             os.fsync(self._file.fileno())
             self.syncs += 1
 
@@ -660,6 +644,11 @@ class FactLog:
 _CKPT_MAGIC = b"REPROCKP1\n"
 _CKPT_PATTERN = "checkpoint-*.ckpt"
 
+#: checkpoints retained: the newest plus one to fall back to
+_KEEP_CHECKPOINTS = 2
+#: the checkpoint format written (format 2 is still read, cold)
+_CKPT_FORMAT = 3
+
 
 class CheckpointStore:
     """Atomic, validated checkpoint files in one directory.
@@ -674,9 +663,8 @@ class CheckpointStore:
     log.
     """
 
-    def __init__(self, directory: Union[str, Path], *, keep: int = 2) -> None:
+    def __init__(self, directory: Union[str, Path]) -> None:
         self._directory = Path(directory)
-        self._keep = max(1, keep)
 
     @property
     def directory(self) -> Path:
@@ -694,7 +682,7 @@ class CheckpointStore:
         sequence = (numbers[-1] + 1) if numbers else 1
         final = self._directory / f"checkpoint-{sequence:010d}.ckpt"
         tmp = final.with_suffix(".ckpt.tmp")
-        data = _CKPT_MAGIC + _frame(
+        data = _CKPT_MAGIC + frame(
             json.dumps(payload, separators=(",", ":")).encode("utf-8")
         )
         with open(tmp, "wb") as handle:
@@ -709,7 +697,7 @@ class CheckpointStore:
 
     def _prune(self) -> None:
         paths = self._paths()
-        for stale in paths[: -self._keep]:
+        for stale in paths[:-_KEEP_CHECKPOINTS]:
             try:
                 stale.unlink()
             except OSError:  # pragma: no cover - racing cleanup
@@ -740,7 +728,7 @@ class CheckpointStore:
             return None
         if not data.startswith(_CKPT_MAGIC):
             return None
-        payloads, end = _scan_frames(data, len(_CKPT_MAGIC))
+        payloads, end = scan_frames(data, len(_CKPT_MAGIC))
         if len(payloads) != 1 or end != len(data):
             return None
         try:
@@ -761,20 +749,15 @@ class DurabilityConfig:
 
     ``checkpoint_every`` is the cadence in logged batches between automatic
     checkpoints (the log tail — and so the recovery repair work — is bounded
-    by it); ``fsync=False`` trades power-loss durability for speed while
-    keeping process-crash durability (the OS page cache survives SIGKILL);
-    ``compact_log=False`` keeps the full log across checkpoints, which makes
-    recovery robust even to *every* checkpoint failing validation, at the
-    price of unbounded log growth.
+    by it); ``compact_log=False`` keeps the full log across checkpoints,
+    which makes recovery robust even to *every* checkpoint failing
+    validation, at the price of unbounded log growth.
     """
 
     path: Union[str, Path]
     checkpoint_every: int = 64
-    fsync: bool = True
     checkpoint_on_close: bool = True
     compact_log: bool = True
-    keep_checkpoints: int = 2
-    restore_warm: bool = True
 
     @classmethod
     def of(
@@ -808,13 +791,68 @@ class RecoveredState:
     tail: List[LoggedBatch]
 
 
+def _decode_checkpoint(
+    latest: Optional[Tuple[int, dict]]
+) -> Tuple[Tuple[Atom, ...], int, int, Optional[str], Optional[WarmState]]:
+    """``(facts, revision, batch_id, digest, warm)`` of the checkpoint
+    recovery starts from (``None``: an empty store at batch 0).
+
+    Format 2 has the same fact rows but warm state in a retired codec, so
+    it recovers cold; older formats raise rather than fall back.
+    """
+    if latest is None:
+        return (), 0, 0, None, None
+    sequence, payload = latest
+    fmt = payload.get("format", 1)
+    if fmt not in (2, _CKPT_FORMAT):
+        raise DurabilityError(
+            f"checkpoint {sequence} is in format {fmt}; this version reads "
+            f"formats 2 and {_CKPT_FORMAT}"
+        )
+    with _decoding(f"checkpoint {sequence}"):
+        table = [decode_term(entry) for entry in payload["symbols"]]
+        facts = tuple(_atom_from_row(row, table) for row in payload["facts"])
+        revision = int(payload["revision"])
+        batch_id = int(payload["batch_id"])
+        digest = payload.get("digest")
+    warm = None
+    if fmt == _CKPT_FORMAT and payload.get("warm"):
+        try:
+            with _decoding(f"warm state of checkpoint {sequence}"):
+                warm = _decode_warm_state(payload["warm"], table)
+        except DurabilityError:
+            # Warmth is an optimisation; a checkpoint whose warm payload
+            # fails to decode still recovers cold.
+            warm = None
+    return facts, revision, batch_id, digest, warm
+
+
+def _check_contiguous(batch_id: int, tail: Sequence[LoggedBatch]) -> None:
+    """Refuse to replay across a batch-id gap.
+
+    The tail must start right after the checkpoint's high-water
+    *batch_id* and then advance by one per record.  A repeated id is not
+    a gap: an append whose fsync failed leaves its record behind, and the
+    next batch reuses the id.
+    """
+    previous = batch_id
+    for logged_id, _ in tail:
+        if logged_id > previous + 1:
+            raise DurabilityError(
+                f"write-ahead log is missing batch ids {previous + 1}.."
+                f"{logged_id - 1} (the checkpoint covers batches up to "
+                f"{batch_id}); refusing to replay across the gap"
+            )
+        previous = logged_id
+
+
 class DurabilityManager:
     """The service-facing facade tying the log and the store together.
 
     Owns one directory::
 
         <path>/facts.wal            the write-ahead fact log
-        <path>/checkpoint-N.ckpt    the last ``keep_checkpoints`` checkpoints
+        <path>/checkpoint-N.ckpt    the two newest checkpoints
 
     and reports ``service_wal_*`` / ``service_checkpoints`` /
     ``service_recovered_batches`` counters into the metrics registry, plus
@@ -855,53 +893,25 @@ class DurabilityManager:
             "service_recovered_batches",
             help="Logged batches replayed beyond the checkpoint on recovery.",
         )
-        self.store = CheckpointStore(
-            self._directory, keep=config.keep_checkpoints
-        )
-        self.log = FactLog(self._directory / "facts.wal", fsync=config.fsync)
+        self.store = CheckpointStore(self._directory)
+        self.log = FactLog(self._directory / "facts.wal")
         self._since_checkpoint = 0
 
     # ---------------------------------------------------------------- recover
     def recover(self) -> RecoveredState:
-        """Open the store: checkpoint + idempotent log-tail replay plan."""
+        """Open the store: checkpoint + idempotent log-tail replay plan.
+
+        Raises :class:`DurabilityError`, with the log closed again, when the
+        store cannot be recovered without risking acknowledged batches."""
         tracer = get_tracer()
         span = tracer.start("service.recover") if tracer.enabled else None
         try:
             batches = self.log.open_and_recover()
             if self.log.torn_tails:
                 self._wal_torn.inc(self.log.torn_tails)
+            numbers = self.store.sequence_numbers()
             latest = self.store.latest()
-            if latest is None:
-                facts: Tuple[Atom, ...] = ()
-                revision = 0
-                batch_id = 0
-                digest: Optional[str] = None
-                warm: Optional[WarmState] = None
-            else:
-                _, payload = latest
-                if int(payload.get("format", 1)) >= 2:
-                    table = [
-                        decode_term(entry) for entry in payload["symbols"]
-                    ]
-                    facts = tuple(
-                        _atom_from_row(atom, table)
-                        for atom in payload["facts"]
-                    )
-                else:
-                    facts = tuple(
-                        decode_atom(atom) for atom in payload["facts"]
-                    )
-                revision = int(payload["revision"])
-                batch_id = int(payload["batch_id"])
-                digest = payload.get("digest")
-                warm = None
-                if self.config.restore_warm and payload.get("warm"):
-                    try:
-                        warm = decode_warm_state(payload["warm"])
-                    except Exception:
-                        # Warmth is an optimisation; a checkpoint whose warm
-                        # payload fails to decode still recovers cold.
-                        warm = None
+            facts, revision, batch_id, digest, warm = _decode_checkpoint(latest)
             # Idempotent replay: everything at or below the checkpoint's
             # high-water batch id is already inside the snapshot.
             tail = [
@@ -909,6 +919,17 @@ class DurabilityManager:
                 for logged_id, ops in batches
                 if logged_id > batch_id
             ]
+            _check_contiguous(batch_id, tail)
+            skipped = bool(numbers) and (
+                latest is None or latest[0] != numbers[-1]
+            )
+            if skipped and self.config.compact_log and not tail:
+                # The log may have been compacted past the skipped newer
+                # checkpoint: an empty tail cannot prove nothing was lost.
+                raise DurabilityError(
+                    f"checkpoint {numbers[-1]} failed validation and the "
+                    f"compacted log holds no batch after batch {batch_id}"
+                )
             if tail:
                 self._recovered.inc(len(tail))
             self._since_checkpoint = len(tail)
@@ -921,6 +942,9 @@ class DurabilityManager:
                 warm=warm,
                 tail=tail,
             )
+        except BaseException:
+            self.log.close()
+            raise
         finally:
             if span is not None:
                 span.finish(
@@ -958,19 +982,19 @@ class DurabilityManager:
         tracer = get_tracer()
         span = tracer.start("service.checkpoint") if tracer.enabled else None
         try:
-            # Format 2: facts are integer rows against one ``symbols``
-            # section, mirroring the engine's interned storage (format-1
-            # checkpoints — structural atoms inline — remain readable).
             interner = _TermInterner()
             fact_rows = [interner.atom_row(atom) for atom in facts]
+            encoded_warm = (
+                None if warm is None else _encode_warm_state(warm, interner)
+            )
             payload = {
-                "format": 2,
+                "format": _CKPT_FORMAT,
                 "batch_id": batch_id,
                 "revision": revision,
                 "digest": digest,
                 "symbols": interner.encoded,
                 "facts": fact_rows,
-                "warm": encode_warm_state(warm) if warm is not None else None,
+                "warm": encoded_warm,
             }
             sequence = self.store.write(payload)
             _maybe_crash("checkpoint.post_rename")

@@ -14,9 +14,10 @@ trusts:
   (:mod:`repro.service.framing`), byte-compatible with write-ahead-log
   records, so torn frames and corruption are detected the same way in both
   layers;
-* **term codec** — atoms are encoded as per-record interned term tables
-  plus integer rows (:class:`repro.service.durability._TermInterner`),
-  exactly the WAL v2 record layout;
+* **term codec** — atoms travel as a per-record symbol table plus integer
+  rows (:func:`repro.service.durability.encode_rows` /
+  :func:`~repro.service.durability.decode_rows`), the one term layout of
+  every WAL record and checkpoint;
 * **deltas** — the payload of a ``delta`` record is the session's **net**
   base-fact change for one revision, captured by the same machinery that
   feeds standing-query subscriptions
@@ -75,7 +76,7 @@ from ...errors import ReplicationError
 from ...obs.metrics import MetricsRegistry, MetricsSnapshot, global_registry
 from ...obs.trace import get_tracer
 from ...query.session import QuerySession
-from ..durability import _TermInterner, _atom_from_row, decode_term
+from ..durability import decode_rows, encode_rows
 from ..framing import frame, read_frame, scan_frames, write_frame
 
 __all__ = [
@@ -95,8 +96,18 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-def _encode_rows(atoms: Sequence[Atom], interner: _TermInterner) -> list:
-    return [interner.atom_row(atom) for atom in atoms]
+def _control_frame(record: dict) -> bytes:
+    return json.dumps(record, separators=(",", ":")).encode("utf-8")
+
+
+def _framed_record(
+    kind: str, revision: int, published: Optional[float], **fields
+) -> bytes:
+    """Frame a ``delta`` / ``snapshot`` record, keys in wire order."""
+    if published is None:
+        published = time.monotonic()
+    header = {"kind": kind, "revision": revision, "published": published}
+    return frame(_control_frame({**header, **fields}))
 
 
 def encode_delta(
@@ -107,28 +118,20 @@ def encode_delta(
     published: Optional[float] = None,
 ) -> bytes:
     """Encode one revision's net fact change as a framed ``delta`` record."""
-    interner = _TermInterner()
-    added_rows = _encode_rows(added, interner)
-    removed_rows = _encode_rows(removed, interner)
+    symbols, (added_rows, removed_rows) = encode_rows(added, removed)
     touched = sorted(
         {atom.predicate.name for atom in added}
         | {atom.predicate.name for atom in removed}
     )
-    payload = json.dumps(
-        {
-            "kind": "delta",
-            "revision": revision,
-            "published": (
-                time.monotonic() if published is None else published
-            ),
-            "syms": interner.encoded,
-            "added": added_rows,
-            "removed": removed_rows,
-            "touched": touched,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    return frame(payload)
+    return _framed_record(
+        "delta",
+        revision,
+        published,
+        syms=symbols,
+        added=added_rows,
+        removed=removed_rows,
+        touched=touched,
+    )
 
 
 def encode_snapshot(
@@ -138,25 +141,10 @@ def encode_snapshot(
     published: Optional[float] = None,
 ) -> bytes:
     """Encode a full fact base as a framed ``snapshot`` record."""
-    interner = _TermInterner()
-    rows = _encode_rows(facts, interner)
-    payload = json.dumps(
-        {
-            "kind": "snapshot",
-            "revision": revision,
-            "published": (
-                time.monotonic() if published is None else published
-            ),
-            "syms": interner.encoded,
-            "facts": rows,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    return frame(payload)
-
-
-def _control_frame(record: dict) -> bytes:
-    return json.dumps(record, separators=(",", ":")).encode("utf-8")
+    symbols, (rows,) = encode_rows(facts)
+    return _framed_record(
+        "snapshot", revision, published, syms=symbols, facts=rows
+    )
 
 
 def decode_record(payload: bytes) -> dict:
@@ -171,18 +159,12 @@ def decode_record(payload: bytes) -> dict:
     if kind in ("hello", "ack"):
         return record
     try:
-        table = [decode_term(entry) for entry in record["syms"]]
         if kind == "delta":
-            record["added"] = tuple(
-                _atom_from_row(row, table) for row in record["added"]
-            )
-            record["removed"] = tuple(
-                _atom_from_row(row, table) for row in record["removed"]
+            record["added"], record["removed"] = decode_rows(
+                record, "added", "removed"
             )
         elif kind == "snapshot":
-            record["facts"] = tuple(
-                _atom_from_row(row, table) for row in record["facts"]
-            )
+            (record["facts"],) = decode_rows(record, "facts")
         else:
             raise ReplicationError(f"unknown record kind {kind!r}")
         record["revision"] = int(record["revision"])
@@ -891,11 +873,9 @@ class ReplicationClient:
         address: Tuple[str, int],
         replica: Replica,
         *,
-        acks: bool = True,
         connect_timeout: float = 10.0,
     ) -> None:
         self._replica = replica
-        self._acks = acks
         self._sock = socket.create_connection(
             address, timeout=connect_timeout
         )
@@ -933,23 +913,22 @@ class ReplicationClient:
                 # A gap (or garbage) mid-stream: tear down; a reconnect
                 # resynchronises from the server's snapshot path.
                 break
-            if self._acks:
-                revision = self._replica.applied_revision
-                if revision is None:
-                    continue
-                try:
-                    write_frame(
-                        self._sock,
-                        _control_frame(
-                            {
-                                "kind": "ack",
-                                "replica": self._replica.replica_id,
-                                "revision": revision,
-                            }
-                        ),
-                    )
-                except OSError:
-                    break
+            revision = self._replica.applied_revision
+            if revision is None:
+                continue
+            try:
+                write_frame(
+                    self._sock,
+                    _control_frame(
+                        {
+                            "kind": "ack",
+                            "replica": self._replica.replica_id,
+                            "revision": revision,
+                        }
+                    ),
+                )
+            except OSError:
+                break
         self._closed.set()
         try:
             self._sock.close()

@@ -35,17 +35,23 @@ from repro.core.queries import ConjunctiveQuery
 from repro.core.terms import Constant, FunctionTerm, Null, Variable
 from repro.errors import DurabilityError
 from repro.obs.metrics import MetricsRegistry
-from repro.query.session import QuerySession
+from repro.query.session import (
+    AnswerExport,
+    QuerySession,
+    ViewExport,
+    WarmState,
+)
 from repro.service import DatalogService, DurabilityConfig
-from repro.service.framing import frame
+from repro.service.framing import frame, scan_frames
 from repro.service.durability import (
     CheckpointStore,
     DurabilityManager,
     FactLog,
-    decode_atom,
-    decode_term,
-    encode_atom,
-    encode_term,
+)
+from repro.service.net.replication import (
+    decode_record,
+    encode_delta,
+    encode_snapshot,
 )
 
 LINK = Predicate("link", 2)
@@ -79,19 +85,115 @@ def probe():
 # ---------------------------------------------------------------- the codec
 
 
-def test_term_codec_round_trips_every_term_kind():
-    terms = [
-        Constant("alice"),
-        Constant("weird name\x1f\n"),
-        Null("n1"),
-        Variable("X"),
-        FunctionTerm("f", (Constant("a"), Null("n2"))),
-        FunctionTerm("g", (FunctionTerm("f", (Constant("a"),)),)),
+#: odd names: empty is the only string a term refuses
+_names = st.text(min_size=1, max_size=5)
+_leaves = st.one_of(
+    st.builds(Constant, _names),
+    st.builds(Null, _names),
+    st.builds(Variable, _names),
+)
+_terms = st.recursive(
+    _leaves,
+    lambda children: st.builds(
+        FunctionTerm, _names, st.lists(children, min_size=1, max_size=3)
+    ),
+    max_leaves=6,
+)
+_atoms = st.builds(
+    lambda name, terms: Atom(Predicate(name, len(terms)), tuple(terms)),
+    _names,
+    st.lists(_terms, max_size=3),
+)
+
+
+def _atom_list(atoms):
+    return list(dict.fromkeys(atoms))
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    atoms=st.lists(_atoms, min_size=1, max_size=6),
+    answer_terms=st.lists(_terms, min_size=1, max_size=3),
+)
+def test_one_codec_round_trips_every_term_kind(
+    tmp_path_factory, atoms, answer_terms
+):
+    """Constants with odd names, nulls, variables and nested function terms
+    survive every record kind: a WAL record, a format-3 checkpoint (facts
+    plus warm state with a query) and replication delta/snapshot frames."""
+    tmp_path = tmp_path_factory.mktemp("codec")
+    atoms = _atom_list(atoms)
+    half = len(atoms) // 2
+
+    log = FactLog(tmp_path / "facts.wal")
+    log.open_and_recover()
+    log.append(1, [("add", tuple(atoms[:half])), ("remove", tuple(atoms))])
+    log.close()
+    log = FactLog(tmp_path / "facts.wal")
+    assert log.open_and_recover() == [
+        (1, [("add", tuple(atoms[:half])), ("remove", tuple(atoms))])
     ]
-    for term in terms:
-        assert decode_term(json.loads(json.dumps(encode_term(term)))) == term
-    atom = Atom(Predicate("p q", 3), (terms[0], terms[2], terms[4]))
-    assert decode_atom(json.loads(json.dumps(encode_atom(atom)))) == atom
+    log.close()
+
+    x = Variable("X")
+    query = ConjunctiveQuery(
+        (
+            Literal(Atom(Predicate("p q", 2), (x, answer_terms[0]))),
+            Literal(atoms[0]),
+            Literal(Atom(Predicate("n", 1), (x,)), False),
+        ),
+        (x,),
+    )
+    warm = WarmState(
+        views=(
+            ViewExport(
+                query=query,
+                base=tuple(atoms),
+                atoms=tuple(atoms[:half]),
+                records=((0, atoms[0], tuple(atoms[1:]), (atoms[-1],)),),
+                seeds=(atoms[-1],),
+            ),
+        ),
+        answers=(
+            AnswerExport(
+                query=query,
+                answers=frozenset({tuple(answer_terms), ()}),
+                repairable=True,
+            ),
+        ),
+    )
+    manager = DurabilityManager(
+        DurabilityConfig(path=tmp_path / "store"), metrics=MetricsRegistry()
+    )
+    manager.recover()
+    manager.checkpoint(
+        batch_id=0, revision=3, digest="d", facts=atoms, warm=warm
+    )
+    manager.close()
+    assert CheckpointStore(tmp_path / "store").latest()[1]["format"] == 3
+    reopened = DurabilityManager(
+        DurabilityConfig(path=tmp_path / "store"), metrics=MetricsRegistry()
+    )
+    recovered = reopened.recover()
+    reopened.close()
+    assert recovered.facts == tuple(atoms)
+    assert recovered.warm == warm
+
+    def decoded(data):
+        payloads, end = scan_frames(data, 0)
+        assert end == len(data) and len(payloads) == 1
+        return decode_record(payloads[0])
+
+    delta = decoded(encode_delta(4, atoms[:half], atoms[half:]))
+    assert delta["revision"] == 4
+    assert delta["added"] == tuple(atoms[:half])
+    assert delta["removed"] == tuple(atoms[half:])
+    snapshot = decoded(encode_snapshot(5, atoms))
+    assert snapshot["facts"] == tuple(atoms)
 
 
 # ------------------------------------------------------------- the fact log
@@ -215,7 +317,7 @@ def test_log_reset_compacts(tmp_path):
 
 
 def test_checkpoint_store_atomic_write_and_fallback(tmp_path):
-    store = CheckpointStore(tmp_path, keep=2)
+    store = CheckpointStore(tmp_path)
     assert store.latest() is None
     store.write({"batch_id": 1, "facts": []})
     store.write({"batch_id": 2, "facts": []})
@@ -229,7 +331,7 @@ def test_checkpoint_store_atomic_write_and_fallback(tmp_path):
 
 
 def test_checkpoint_store_prunes_old_and_orphan_tmp(tmp_path):
-    store = CheckpointStore(tmp_path, keep=2)
+    store = CheckpointStore(tmp_path)
     (tmp_path / "stale.ckpt.tmp").write_bytes(b"crashed mid-checkpoint")
     for batch_id in range(1, 5):
         store.write({"batch_id": batch_id})
@@ -444,36 +546,78 @@ def test_compact_log_false_recovers_through_corrupt_checkpoints(tmp_path):
         reopened.close()
 
 
-def test_v1_store_recovers(tmp_path):
-    """Stores written before interning stay readable: a format-1 checkpoint
-    and v1 log records, both with structural atoms inline, recover to the
-    same facts, revision and answers."""
+def _record(payload: dict) -> bytes:
+    return frame(json.dumps(payload).encode("utf-8"))
 
-    def record(payload: dict) -> bytes:
-        return frame(json.dumps(payload).encode("utf-8"))
 
-    (tmp_path / "checkpoint-0000000001.ckpt").write_bytes(
-        b"REPROCKP1\n"
-        + record(
-            {
-                "batch_id": 1,
-                "revision": 1,
-                "digest": None,
-                "facts": [encode_atom(edge(0, 1))],
-                "warm": None,
-            }
-        )
+def _write_store(path, checkpoint: dict, *wal_records: dict) -> None:
+    (path / "checkpoint-0000000001.ckpt").write_bytes(
+        b"REPROCKP1\n" + _record(checkpoint)
     )
-    (tmp_path / "facts.wal").write_bytes(
-        b"REPROWAL1\n"
+    (path / "facts.wal").write_bytes(
+        b"REPROWAL1\n" + b"".join(_record(record) for record in wal_records)
+    )
+
+
+def _open(path, registry=None):
+    return DatalogService(
+        (),
+        rules(),
+        durability=DurabilityConfig(path=path),
+        metrics=registry if registry is not None else MetricsRegistry(),
+    )
+
+
+def _format2_checkpoint(**overrides) -> dict:
+    payload = {
+        "format": 2,
+        "batch_id": 1,
+        "revision": 1,
+        "digest": QuerySession((), rules()).digest,
+        "symbols": [["c", "v0"], ["c", "v1"]],
+        "facts": [["link", [0, 1]]],
+        "warm": None,
+    }
+    payload.update(overrides)
+    return payload
+
+
+def test_format2_store_recovers(tmp_path):
+    """A store written by the previous release — a format-2 checkpoint
+    with warm state in the retired structural codec, plus v2 log records —
+    recovers the same facts, revision and answers, cold.  Its warm state is
+    skipped, never served: here it caches a wrong answer, under a matching
+    digest, for a query the replayed tail does not invalidate."""
+    flag = Predicate("flag", 2)
+    y = Variable("Y")
+    untouched = ConjunctiveQuery(
+        (Literal(Atom(flag, (Constant("v0"), y))),), (y,)
+    )
+    stale_answer_cache = {
+        "atoms": [["\x00row", [["c", "v9"]]]],
+        "views": [],
+        "answers": [
+            {
+                "query": {
+                    "literals": [[["flag", [["c", "v0"], ["v", "Y"]]], True]],
+                    "answer": [["v", "Y"]],
+                },
+                "rows": [0],
+                "repairable": False,
+            }
+        ],
+    }
+    _write_store(
+        tmp_path,
+        _format2_checkpoint(warm=stale_answer_cache),
         # Batch 1 is inside the checkpoint already: recovery must skip it.
-        + record({"batch": 1, "ops": [["add", [encode_atom(edge(0, 1))]]]})
-        + record({"batch": 2, "ops": [["add", [encode_atom(edge(1, 2))]]]})
+        {"batch": 1, "syms": [["c", "v0"], ["c", "v1"]],
+         "ops": [["add", [["link", [0, 1]]]]]},
+        {"batch": 2, "syms": [["c", "v1"], ["c", "v2"]],
+         "ops": [["add", [["link", [0, 1]]]]]},
     )
     registry = MetricsRegistry()
-    service = DatalogService(
-        (), rules(), durability=DurabilityConfig(path=tmp_path), metrics=registry
-    )
+    service = _open(tmp_path, registry)
     try:
         assert service.facts == frozenset({edge(0, 1), edge(1, 2)})
         assert service.revision == 2
@@ -482,8 +626,133 @@ def test_v1_store_recovers(tmp_path):
             (Constant("v1"),),
             (Constant("v2"),),
         }
+        assert service.answers(untouched) == frozenset()
+        assert service.statistics.read_cache_hits == 0
     finally:
         service.close()
+
+
+def test_v1_and_format1_are_refused(tmp_path):
+    """v1 log records and format-1 checkpoints (structural atoms inline)
+    raise DurabilityError naming the format: no fallback to an older
+    checkpoint, no silently skipped record, and the store is left as it
+    was."""
+    v1_atom = ["link", [["c", "v0"], ["c", "v1"]]]
+    format1 = tmp_path / "format1"
+    format1.mkdir()
+    _write_store(
+        format1,
+        {"batch_id": 1, "revision": 1, "digest": None, "facts": [v1_atom],
+         "warm": None},
+    )
+    v1_log = tmp_path / "v1log"
+    v1_log.mkdir()
+    _write_store(
+        v1_log,
+        _format2_checkpoint(),
+        {"batch": 2, "ops": [["add", [v1_atom]]]},
+    )
+    for store, match in ((format1, "format 1"), (v1_log, "v1")):
+        before = {path.name: path.read_bytes() for path in store.iterdir()}
+        for _ in range(2):  # the refusal released the store lock
+            with pytest.raises(DurabilityError, match=match):
+                _open(store)
+        assert {
+            path.name: path.read_bytes() for path in store.iterdir()
+        } == before
+
+
+@pytest.mark.parametrize(
+    "checkpoint, wal_record, match",
+    [
+        # a row id past the record's symbol table
+        ({}, {"batch": 2, "syms": [["c", "v1"]],
+              "ops": [["add", [["link", [0, 1]]]]]}, "IndexError"),
+        # a log record without ops
+        ({}, {"batch": 2, "syms": []}, "KeyError"),
+        # a format-2 checkpoint without its symbol table
+        ({"symbols": None}, None, "checkpoint 1"),
+    ],
+    ids=[
+        "row-id-past-syms",
+        "record-without-ops",
+        "checkpoint-without-symbols",
+    ],
+)
+def test_checksum_valid_but_undecodable_payload_raises(
+    tmp_path, checkpoint, wal_record, match
+):
+    """A payload that passes its CRC but does not decode is damage to the
+    store: DurabilityError, never a raw exception out of the constructor."""
+    payload = _format2_checkpoint(**checkpoint)
+    if payload["symbols"] is None:
+        del payload["symbols"]
+    _write_store(tmp_path, payload, *([wal_record] if wal_record else []))
+    with pytest.raises(DurabilityError, match=match):
+        _open(tmp_path)
+
+
+def test_recovery_never_replays_across_a_batch_gap(tmp_path):
+    """Repro: a corrupt newest checkpoint made recovery fall back to the
+    previous one and replay the compacted tail over it, silently losing
+    the acknowledged e(a2,a3) and moving the revision backwards."""
+    e = Predicate("e", 2)
+
+    def fact(i, j):
+        return Atom(e, (Constant(f"a{i}"), Constant(f"a{j}")))
+
+    service = _durable_service(tmp_path, close_checkpoint=False)
+    service.add_facts([fact(1, 2)]).result()
+    service.checkpoint()
+    service.add_facts([fact(2, 3)]).result()
+    service.checkpoint()
+    service.add_facts([fact(3, 4)]).result()
+    assert service.revision == 3
+    service.close()
+    newest = sorted(tmp_path.glob("checkpoint-*.ckpt"))[-1]
+    data = bytearray(newest.read_bytes())
+    data[-2] ^= 0x01
+    newest.write_bytes(bytes(data))
+    with pytest.raises(DurabilityError, match=r"missing batch ids 2\.\.2"):
+        _durable_service(tmp_path)
+
+
+def test_compacted_empty_tail_after_skipped_checkpoint_is_refused(tmp_path):
+    """With the newest checkpoint invalid and the log compacted, an empty
+    tail cannot prove that nothing after the fallback checkpoint was lost."""
+    service = _durable_service(tmp_path, close_checkpoint=False)
+    service.add_facts([edge(0, 1)]).result()
+    service.checkpoint()
+    service.close()
+    newest = sorted(tmp_path.glob("checkpoint-*.ckpt"))[-1]
+    newest.write_bytes(newest.read_bytes()[:-1])
+    with pytest.raises(DurabilityError, match="failed validation"):
+        _durable_service(tmp_path)
+
+
+def test_repeated_batch_id_is_not_a_gap(tmp_path):
+    """An append whose fsync failed leaves its record behind and the next
+    batch reuses the id; recovery replays through it.  A jump inside the
+    tail is a gap."""
+    config = DurabilityConfig(path=tmp_path)
+    manager = DurabilityManager(config, metrics=MetricsRegistry())
+    manager.recover()
+    manager.checkpoint(batch_id=0, revision=0, digest=None, facts=())
+    for batch_id in (1, 1, 2, 4):
+        manager.log_batch(batch_id, [("add", (edge(batch_id, 0),))])
+    manager.close()
+    reopened = DurabilityManager(config, metrics=MetricsRegistry())
+    with pytest.raises(DurabilityError, match=r"missing batch ids 3\.\.3"):
+        reopened.recover()
+    log = FactLog(tmp_path / "facts.wal")
+    log.open_and_recover()
+    log.reset()
+    for batch_id in (1, 1, 2):
+        log.append(batch_id, [("add", (edge(batch_id, 0),))])
+    log.close()
+    recovered = DurabilityManager(config, metrics=MetricsRegistry())
+    assert [bid for bid, _ in recovered.recover().tail] == [1, 1, 2]
+    recovered.close()
 
 
 def test_checkpoint_requires_durability():
