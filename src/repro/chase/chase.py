@@ -39,10 +39,12 @@ from ..core.terms import NullFactory
 from ..engine import (
     CompiledRule,
     EngineStatistics,
+    Fact,
     RelationIndex,
     RelationSnapshot,
     compile_rule,
-    enumerate_matches,
+    encode_rule,
+    enumerate_bindings,
 )
 from ..errors import UnsupportedClassError
 from ..obs.metrics import global_registry
@@ -176,36 +178,33 @@ def _round_matches(
     rule_set: RuleSet,
     compiled: Sequence[CompiledRule],
     index: RelationIndex,
-    delta: Optional[Sequence[Atom]],
+    delta: Optional[Sequence[Fact]],
     statistics: EngineStatistics,
 ) -> list[tuple[int, NTGD, dict]]:
     """All candidate triggers of one chase round, materialised.
 
     In the first round (``delta is None``) every rule is matched in full; in
     later rounds each positive body literal in turn is restricted to the
-    previous round's delta.  Matches are collected *before* any firing so the
-    index is never mutated under a live join iterator.  Duplicate assignments
-    (a body overlapping the delta in two literals) are harmless: the
-    restricted chase re-checks head satisfaction at fire time and the
-    oblivious chase deduplicates by trigger key.
+    previous round's delta (``(predicate, row)`` facts, joined on the row
+    plane; only the matches are decoded).  Matches are collected *before*
+    any firing so the index is never mutated under a live join iterator.
+    Duplicate assignments (a body overlapping the delta in two literals) are
+    harmless: the restricted chase re-checks head satisfaction at fire time
+    and the oblivious chase deduplicates by trigger key.
     """
     found: list[tuple[int, NTGD, dict]] = []
     for position, (rule, compiled_rule) in enumerate(zip(rule_set, compiled)):
-        if delta is None:
-            for assignment in enumerate_matches(
-                compiled_rule, index, statistics=statistics
+        encoded = encode_rule(compiled_rule, index.symbols)
+        literals = [None] if delta is None else range(len(compiled_rule.positive))
+        for literal_position in literals:
+            for binding in enumerate_bindings(
+                encoded,
+                index,
+                delta_rows=delta,
+                delta_position=literal_position,
+                statistics=statistics,
             ):
-                found.append((position, rule, assignment))
-        else:
-            for literal_position in range(len(compiled_rule.positive)):
-                for assignment in enumerate_matches(
-                    compiled_rule,
-                    index,
-                    delta=delta,
-                    delta_position=literal_position,
-                    statistics=statistics,
-                ):
-                    found.append((position, rule, assignment))
+                found.append((position, rule, encoded.decode_binding(binding)))
     return found
 
 
@@ -245,7 +244,7 @@ def restricted_chase(
     nulls = NullFactory(prefix="n")
     steps: list[ChaseStep] = []
 
-    delta: Optional[Sequence[Atom]] = None  # None = first (full) round
+    delta: Optional[Sequence[Fact]] = None  # None = first (full) round
     while True:
         if delta is not None and not delta:
             break
@@ -276,7 +275,7 @@ def restricted_chase(
                     added,
                 )
             )
-        delta = list(index.added_since(new_tick))
+        delta = list(index.rows_added_since(new_tick))
         index.compact(index.tick())  # delta is materialised; free the log
     return ChaseResult(
         index.atoms(), tuple(steps), terminated=True, statistics=statistics
@@ -350,7 +349,7 @@ def oblivious_chase(
     steps: list[ChaseStep] = []
     fired: set[tuple[int, tuple]] = set()
 
-    delta: Optional[Sequence[Atom]] = None  # None = first (full) round
+    delta: Optional[Sequence[Fact]] = None  # None = first (full) round
     while True:
         if delta is not None and not delta:
             break
@@ -375,7 +374,7 @@ def oblivious_chase(
             fired.add(key)
             statistics.triggers_fired += 1
             steps.append(ChaseStep(rule, key[1], added))
-        delta = list(index.added_since(new_tick))
+        delta = list(index.rows_added_since(new_tick))
         index.compact(index.tick())  # delta is materialised; free the log
     return ChaseResult(
         index.atoms(), tuple(steps), terminated=True, statistics=statistics

@@ -52,7 +52,7 @@ from .index import (
     resolve_term,
 )
 from .intern import Row, SymbolTable, TupleRelation, global_symbols
-from .maintenance import MaterializedView, SupportTable, ViewDelta
+from .maintenance import Fact, MaterializedView, Record, SupportTable, ViewDelta
 from .planner import (
     CompiledRule,
     EncodedRule,
@@ -69,11 +69,13 @@ __all__ = [
     "CompiledRule",
     "EncodedRule",
     "EngineStatistics",
+    "Fact",
     "GroundProgramEvaluator",
     "MaterializedView",
     "MemoryBackend",
     "OverlayBackend",
     "OverlayRelationIndex",
+    "Record",
     "RelationIndex",
     "RelationSnapshot",
     "Row",

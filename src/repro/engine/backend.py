@@ -12,8 +12,9 @@ Writes happen only on the *row plane* (``insert_row``/``remove_row``),
 trading in interned integer tuples (see :mod:`repro.engine.intern`): atoms
 are encoded once, at the index's API edge.  Reads come in both forms —
 ``contains_row``/``rows_of`` for the join executor, and
-``in``/``iter``/``atoms_of`` for the atom edge, decoded through the symbol
-table's canonical-atom cache — so the join engine never hashes a term tree.
+``in``/``iter``/``atoms_of`` for the atom edge, where rows are decoded
+into fresh atoms (a per-relation scan list is kept until the next write) —
+so the join engine never hashes a term tree.
 
 Two backends ship with the engine:
 
@@ -353,11 +354,8 @@ class OverlayBackend:
 
     def atoms_of(self, predicate: Predicate) -> Sequence[Atom]:
         if self.has_tombstones(predicate) or self._local.count(predicate):
-            # Merge on the row plane, decode through the canonical-atom
-            # cache (each distinct row constructs its atom at most once,
-            # process-wide).
-            symbols = self.symbols
-            decode = symbols.atom
+            # Merge on the row plane, decode only the merged result.
+            decode = self.symbols.atom
             return [decode(predicate, row) for row in self.rows_of(predicate)]
         return self._base.atoms_of(predicate)
 

@@ -33,8 +33,9 @@ tuples (see :mod:`repro.engine.intern`): an accepted :class:`Atom` is encoded
 into a :data:`~repro.engine.intern.Row` exactly once, in :meth:`RelationIndex.add`;
 the delta log, the pattern hash tables (buckets keyed by int tuples, holding
 rows) and the backend all trade in rows from then on, and atoms are decoded
-back only at the API edge (``added_since``, ``candidates_for``, iteration)
-through the symbol table's canonical-atom cache.  The join executor bypasses
+back only at the API edge (``added_since``, ``candidates_for``, iteration,
+``retract``'s result) into fresh objects — nothing decoded is retained by
+the symbol table.  The join executor bypasses
 the atom edge entirely via the row-plane surface (:meth:`RelationIndex.rows_of`,
 :meth:`RelationIndex.rows_for`, :meth:`RelationIndex.contains_row`,
 :meth:`RelationIndex.rows_added_since`, :meth:`RelationIndex.add_row`).
@@ -381,7 +382,12 @@ class RelationIndex:
         """
         if support is None:
             return (atom,) if self.remove(atom) else ()
-        return support.cascade_retract(self, atom)
+        symbols = self._backend.symbols
+        row = symbols.try_encode_atom(atom)
+        if row is None:
+            return ()  # never interned: nothing stored or recorded holds it
+        removed = support.cascade_retract(self, (atom.predicate, row))
+        return tuple(symbols.atom(*fact) for fact in removed)
 
     def update(self, atoms: Iterable[Atom]) -> None:
         for atom in atoms:

@@ -9,26 +9,33 @@ moves all of that to the integer domain:
   labelled nulls, and (ground) function terms — into a **dense integer id**,
   assigned once, process-wide (see :func:`global_symbols`).  Encoding happens
   once at the storage boundary (``RelationIndex.add``); from then on the
-  engine compares, hashes and copies plain ``int`` tuples.  Decoding is a
-  list index (``_terms[tid]``) returning the *canonical* term object, so
-  structural equality degenerates to identity on everything that ever
-  round-tripped through the table.
+  engine compares, hashes and copies plain ``int`` tuples.  Decoding a term
+  is a list index (``_terms[tid]``) returning the *canonical* term object;
+  :meth:`SymbolTable.atom` builds a fresh :class:`Atom` from those terms and
+  keeps nothing, so the table grows with distinct terms only, never with
+  the atoms the API edge happens to decode.
 * :class:`TupleRelation` stores one predicate's rows as int tuples with
   ``array('q')``-backed columns: an insertion-ordered row set for O(1)
   membership/insert/remove, per-column flat 64-bit arrays for cache-friendly
   bulk scans (rebuilt lazily after removals, appended in place otherwise),
-  and cached decoded-atom scan lists for the object-level API edge.  The
-  ``shared`` flag carries the predicate-level copy-on-write protocol of the
-  storage layer (see :class:`~repro.engine.backend.MemoryBackend`).
+  and a decoded-atom scan list for the object-level API edge, dropped on
+  every mutation.  The ``shared`` flag carries the predicate-level
+  copy-on-write protocol of the storage layer (see
+  :class:`~repro.engine.backend.MemoryBackend`).
 
 The id space::
 
       Atom(p, (Constant("a"), Null("n1")))          object edge (API)
-            |  encode once, on add                  ^ decode once, cached
-            v                                       |
-      row = (17, 42)            ----------------    canonical Atom cache
+            |  encode once, on add                  ^ decode at the edge:
+            v                                       |  Atom(p, terms[ids])
+      row = (17, 42)            ----------------    (nothing retained)
       TupleRelation[p].rows     {(17,42): None, ...}
       columns                   array('q', [17, ...]), array('q', [42, ...])
+
+Everything between the two edges — joins, delta logs, snapshots,
+derivation-support tables and view deltas — trades in ``(predicate, row)``
+pairs.  Two decoded atoms of one row are equal (structurally, with a
+precomputed hash), not identical.
 
 Variables are interned like any other term (an id is an opaque name for a
 distinct term object); matching semantics are unchanged because a pattern
@@ -80,7 +87,7 @@ class SymbolTable:
     and lets snapshots/forks/checkpoints share encoded rows freely.
     """
 
-    __slots__ = ("_lock", "_ids", "_terms", "_atoms", "_functions", "_shapes")
+    __slots__ = ("_lock", "_ids", "_terms", "_functions", "_shapes")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -88,8 +95,6 @@ class SymbolTable:
         self._ids: Dict[Term, int] = {}
         #: id -> canonical term (decode is one list index)
         self._terms: List[Term] = []
-        #: predicate -> row -> canonical Atom (the decode cache of the edge)
-        self._atoms: Dict[Predicate, Dict[Row, Atom]] = {}
         #: (function name, argument ids) -> id of the ground function term —
         #: lets Skolem-term heads be built without constructing the term
         #: object except on first occurrence.
@@ -192,32 +197,9 @@ class SymbolTable:
         return tuple(row)
 
     def atom(self, predicate: Predicate, row: Row) -> Atom:
-        """The canonical :class:`Atom` for *row* (cached per predicate).
-
-        The cache is what bounds API-edge decode overhead: each distinct
-        stored row constructs its atom once; every later decode is two dict
-        probes returning an object with a precomputed hash.
-        """
-        cache = self._atoms.get(predicate)
-        if cache is None:
-            cache = self._atoms.setdefault(predicate, {})
-        found = cache.get(row)
-        if found is None:
-            terms = self._terms
-            found = Atom(predicate, tuple(terms[tid] for tid in row))
-            cache[row] = found
-        return found
-
-    def atom_cache(self, predicate: Predicate) -> Dict[Row, Atom]:
-        """The per-predicate decode cache (for tight decode loops)."""
-        cache = self._atoms.get(predicate)
-        if cache is None:
-            cache = self._atoms.setdefault(predicate, {})
-        return cache
-
-    def cached_atoms(self) -> int:
-        """The number of canonical atoms held by the decode cache."""
-        return sum(len(cache) for cache in list(self._atoms.values()))
+        """A fresh :class:`Atom` for *row* (the decode edge; nothing cached)."""
+        terms = self._terms
+        return Atom(predicate, tuple([terms[tid] for tid in row]))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -308,18 +290,11 @@ class TupleRelation:
         return self.columns()[position]
 
     def atoms(self, symbols: SymbolTable, predicate: Predicate) -> List[Atom]:
-        """The rows decoded to canonical atoms, in insertion order (cached)."""
+        """The rows decoded to atoms, in insertion order (cached until the
+        next mutation)."""
         if self._atom_scan is None:
-            cache = symbols.atom_cache(predicate)
-            terms = symbols._terms
-            decoded: List[Atom] = []
-            for row in self.rows:
-                found = cache.get(row)
-                if found is None:
-                    found = Atom(predicate, tuple(terms[tid] for tid in row))
-                    cache[row] = found
-                decoded.append(found)
-            self._atom_scan = decoded
+            decode = symbols.atom
+            self._atom_scan = [decode(predicate, row) for row in self.rows]
         return self._atom_scan
 
     def __len__(self) -> int:

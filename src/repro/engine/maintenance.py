@@ -44,10 +44,18 @@ The public surface:
 * :class:`MaterializedView` — a stratified Datalog¬ program materialised
   with full support recording, repaired in place by
   :meth:`MaterializedView.apply_delta`, which returns the net
-  :class:`ViewDelta` of derived atoms.  ``QuerySession`` keeps one view per
+  :class:`ViewDelta` of stored facts.  ``QuerySession`` keeps one view per
   cached plan (deletions repair cached answers) and
   ``encodings.cqa.consistent_answers`` evaluates each repair as a deletion
   delta over one shared view — the two hottest deletion paths of the stack.
+
+Everything inside runs on the interned row plane: records, access paths,
+repair worklists and view deltas hold :data:`Fact` pairs ``(predicate,
+row)``, built straight from join bindings.  Atoms appear only at the API
+edge — :meth:`MaterializedView.apply_delta` and
+:meth:`SupportTable.add_base` encode their arguments once on entry, and
+reads of the materialisation go through its
+:class:`~repro.engine.index.RelationIndex`.
 
 See ``docs/incremental-maintenance.md`` for a worked, executable example.
 """
@@ -60,6 +68,7 @@ from ..core.atoms import Atom, Predicate
 from ..errors import SolverLimitError
 from ..obs.trace import get_tracer
 from .index import RelationIndex
+from .intern import Row, global_symbols
 from .planner import (
     CompiledRule,
     EncodedRule,
@@ -69,26 +78,34 @@ from .planner import (
 )
 from .stats import EngineStatistics
 
-__all__ = ["SupportTable", "MaterializedView", "ViewDelta"]
+__all__ = ["Fact", "Record", "SupportTable", "MaterializedView", "ViewDelta"]
+
+#: One ground atom on the row plane: its predicate and interned row — the
+#: pairs ``RelationIndex.rows_added_since`` yields.
+Fact = Tuple[Predicate, Row]
 
 #: One distinct rule firing: ``(rule id, derived head, ground positive body)``.
 #: The rule id disambiguates two rules deriving the same head from the same
 #: body; the negative body is determined by the key (stored alongside) since
 #: safety forces negative literals to be bound by the positive body.
-SupportKey = Tuple[int, Atom, Tuple[Atom, ...]]
+SupportKey = Tuple[int, Fact, Tuple[Fact, ...]]
+
+#: One exported record: ``(rule position, head, positive body, negative body)``.
+Record = Tuple[int, Fact, Tuple[Fact, ...], Tuple[Fact, ...]]
 
 
 class SupportTable:
     """Derivation records: who derives what, from what, blocked by what.
 
-    The table is a set of :data:`SupportKey` records with three access paths:
+    The table is a set of :data:`SupportKey` records over :data:`Fact`\\ s
+    (rows of the process-wide symbol table) with three access paths:
 
     * ``supports[head]`` — the records deriving ``head`` (its derivation
       count is the size of this set);
-    * ``uses[atom]`` — the records whose *positive* body contains ``atom``
-      (deleting ``atom`` invalidates exactly these);
-    * ``blockers[atom]`` — the records whose *negative* body contains
-      ``atom`` (adding ``atom`` invalidates exactly these).
+    * ``uses[fact]`` — the records whose *positive* body contains ``fact``
+      (deleting ``fact`` invalidates exactly these);
+    * ``blockers[fact]`` — the records whose *negative* body contains
+      ``fact`` (adding ``fact`` invalidates exactly these).
 
     ``base`` holds the extensional facts (self-supporting; deletable) and
     ``protected`` the ground heads of the program's fact rules (derived
@@ -111,21 +128,20 @@ class SupportTable:
     )
 
     def __init__(self, *, statistics: Optional[EngineStatistics] = None) -> None:
-        #: key -> ground negative body atoms of the firing
-        self.derivations: Dict[SupportKey, Tuple[Atom, ...]] = {}
-        self.supports: Dict[Atom, Set[SupportKey]] = {}
-        self.uses: Dict[Atom, Set[SupportKey]] = {}
-        self.blockers: Dict[Atom, Set[SupportKey]] = {}
-        self.base: Set[Atom] = set()
-        self.protected: Set[Atom] = set()
+        #: key -> ground negative body of the firing
+        self.derivations: Dict[SupportKey, Tuple[Fact, ...]] = {}
+        self.supports: Dict[Fact, Set[SupportKey]] = {}
+        self.uses: Dict[Fact, Set[SupportKey]] = {}
+        self.blockers: Dict[Fact, Set[SupportKey]] = {}
+        self.base: Set[Fact] = set()
+        self.protected: Set[Fact] = set()
         self._rule_ids: Dict[int, int] = {}
         #: strong refs so ``id()``-keyed rule ids can never be recycled
         self._rule_refs: List[object] = []
         self._stats = statistics
 
     # ------------------------------------------------------------- recording
-    def _rule_id(self, rule: CompiledRule) -> int:
-        source = rule.source if rule.source is not None else rule
+    def _rule_id(self, source: object) -> int:
         rid = self._rule_ids.get(id(source))
         if rid is None:
             rid = len(self._rule_refs)
@@ -133,52 +149,48 @@ class SupportTable:
             self._rule_refs.append(source)
         return rid
 
-    def _insert(
-        self,
-        key: SupportKey,
-        head: Atom,
-        body: Tuple[Atom, ...],
-        negative: Tuple[Atom, ...],
-    ) -> None:
+    def _insert(self, key: SupportKey, negative: Tuple[Fact, ...]) -> None:
+        """Register one record (a known one is left as it is)."""
+        if key in self.derivations:
+            return
         self.derivations[key] = negative
-        self.supports.setdefault(head, set()).add(key)
-        for atom in set(body):
-            self.uses.setdefault(atom, set()).add(key)
-        for atom in set(negative):
-            self.blockers.setdefault(atom, set()).add(key)
-        if self._stats is not None:
-            self._stats.supports_recorded += 1
+        self.supports.setdefault(key[1], set()).add(key)
+        for fact in set(key[2]):
+            self.uses.setdefault(fact, set()).add(key)
+        for fact in set(negative):
+            self.blockers.setdefault(fact, set()).add(key)
 
     def record(
         self, rule: CompiledRule, encoded: EncodedRule, binding
-    ) -> List[Tuple[SupportKey, Atom]]:
+    ) -> List[Fact]:
         """The ``on_fire`` hook: register a firing, ignoring duplicates.
 
-        *binding* is the firing's interned slot binding; the ground
-        body/head/negative atoms are reconstructed through the symbol
-        table's canonical decode cache (two dict probes per atom after
-        warm-up).  Returns the ``(key, head)`` pairs that were new.
+        *binding* is the firing's interned slot binding; the ground head,
+        positive and negative bodies are built as rows straight from it.
+        Returns the heads of the records that were new.
         """
-        body = encoded.build_positive_atoms(binding)
-        rid = self._rule_id(rule)
-        fresh: List[Tuple[SupportKey, Atom]] = []
-        negative: Optional[Tuple[Atom, ...]] = None
-        for head in encoded.build_head_atoms(binding):
+        body = encoded.build_positive_rows(binding)
+        rid = self._rule_id(rule.source if rule.source is not None else rule)
+        fresh: List[Fact] = []
+        negative: Optional[Tuple[Fact, ...]] = None
+        for head in encoded.build_head_rows(binding):
             key: SupportKey = (rid, head, body)
             if key in self.derivations:
                 continue
             if negative is None:
-                negative = encoded.build_negative_atoms(binding)
-            self._insert(key, head, body, negative)
-            fresh.append((key, head))
+                negative = encoded.build_negative_rows(binding)
+            self._insert(key, negative)
+            if self._stats is not None:
+                self._stats.supports_recorded += 1
+            fresh.append(head)
         return fresh
 
     def restore_record(
         self,
         source: object,
-        head: Atom,
-        body: Tuple[Atom, ...],
-        negative: Tuple[Atom, ...],
+        head: Fact,
+        body: Tuple[Fact, ...],
+        negative: Tuple[Fact, ...],
     ) -> None:
         """Re-register a previously exported derivation record.
 
@@ -190,20 +202,7 @@ class SupportTable:
         is checkpointed state coming back, see
         :meth:`MaterializedView.restore`).
         """
-        rid = self._rule_ids.get(id(source))
-        if rid is None:
-            rid = len(self._rule_refs)
-            self._rule_ids[id(source)] = rid
-            self._rule_refs.append(source)
-        key: SupportKey = (rid, head, tuple(body))
-        if key in self.derivations:
-            return
-        self.derivations[key] = tuple(negative)
-        self.supports.setdefault(head, set()).add(key)
-        for atom in set(key[2]):
-            self.uses.setdefault(atom, set()).add(key)
-        for atom in set(self.derivations[key]):
-            self.blockers.setdefault(atom, set()).add(key)
+        self._insert((self._rule_id(source), head, tuple(body)), tuple(negative))
 
     def drop(self, key: SupportKey) -> None:
         """Forget one record, maintaining all three access paths."""
@@ -216,67 +215,63 @@ class SupportTable:
             bucket.discard(key)
             if not bucket:
                 del self.supports[head]
-        for atom in set(body):
-            bucket = self.uses.get(atom)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self.uses[atom]
-        for atom in set(negative):
-            bucket = self.blockers.get(atom)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self.blockers[atom]
+        for paths, facts in ((self.uses, body), (self.blockers, negative)):
+            for fact in set(facts):
+                bucket = paths.get(fact)
+                if bucket is not None:
+                    bucket.discard(key)
+                    if not bucket:
+                        del paths[fact]
 
     # -------------------------------------------------------------- liveness
     def add_base(self, atom: Atom) -> None:
-        self.base.add(atom)
+        """Mark *atom* as an extensional fact (encoded once, here)."""
+        self.base.add((atom.predicate, global_symbols().encode_atom(atom)))
 
-    def is_alive(self, atom: Atom) -> bool:
+    def is_alive(self, fact: Fact) -> bool:
         """Still supported: a base/protected fact, or some record remains."""
         return (
-            atom in self.base
-            or atom in self.protected
-            or bool(self.supports.get(atom))
+            fact in self.base
+            or fact in self.protected
+            or bool(self.supports.get(fact))
         )
 
-    def cascade_retract(self, index: RelationIndex, atom: Atom) -> Tuple[Atom, ...]:
+    def cascade_retract(self, index: RelationIndex, fact: Fact) -> Tuple[Fact, ...]:
         """Counting-only deletion cascade (the engine of ``RelationIndex.retract``).
 
-        Withdraws *atom*'s base status, then repeatedly removes every atom
+        Withdraws *fact*'s base status, then repeatedly removes every fact
         whose support emptied, dropping the records that used it.  Exact for
         **non-recursive** support (no cycle of records) and **negation-free**
         programs; recursive strata need over-deletion/rederivation and
         negation needs cross-stratum re-evaluation — both are provided by
         :class:`MaterializedView`, which layers them over this table.
-        Returns the removed atoms in cascade order.
+        Returns the removed facts in cascade order.
         """
-        self.base.discard(atom)
-        removed: List[Atom] = []
-        work: List[Atom] = [atom]
+        self.base.discard(fact)
+        removed: List[Fact] = []
+        work: List[Fact] = [fact]
         while work:
             current = work.pop()
             if self.is_alive(current):
                 continue
-            if not index.remove(current):
+            if not index.remove_row(*current):
                 continue
             removed.append(current)
             for key in list(self.uses.get(current, ())):
-                head = key[1]
                 self.drop(key)
-                work.append(head)
+                work.append(key[1])
         return tuple(removed)
 
 
 class ViewDelta:
-    """The net change of one :meth:`MaterializedView.apply_delta` call."""
+    """The net change of one :meth:`MaterializedView.apply_delta` call, as
+    sets of :data:`Fact` rows (the view's index symbols decode them)."""
 
     __slots__ = ("added", "removed")
 
     def __init__(self, added: frozenset, removed: frozenset) -> None:
-        self.added: frozenset[Atom] = added
-        self.removed: frozenset[Atom] = removed
+        self.added: frozenset[Fact] = added
+        self.removed: frozenset[Fact] = removed
 
     def __bool__(self) -> bool:
         return bool(self.added or self.removed)
@@ -323,21 +318,22 @@ class MaterializedView:
             statistics=statistics,
             max_atoms=max_atoms,
         )
+        facts = list(facts)
         for atom in facts:
             self._support.add_base(atom)
         from ..query.stratify import evaluate_stratified
 
         self._index = evaluate_stratified(
             self._normal,
-            self._support.base,
+            facts,
             stratification=self._strat,
             statistics=statistics,
             max_atoms=max_atoms,
             on_fire=self._support.record,
         )
         # Net-change bookkeeping of the apply_delta call in flight.
-        self._call_added: Set[Atom] = set()
-        self._call_removed: Set[Atom] = set()
+        self._call_added: Set[Fact] = set()
+        self._call_removed: Set[Fact] = set()
 
     def _setup(
         self,
@@ -362,6 +358,7 @@ class MaterializedView:
             stratification if stratification is not None else stratify(self._normal)
         )
         self._support = SupportTable(statistics=statistics)
+        encode = global_symbols().encode_atom
         # A stratum needs DRed exactly when it contains a genuinely recursive
         # rule — one whose head shares a dependency-graph SCC with a positive
         # body predicate.  Stratum equality is NOT the right test: positive
@@ -391,7 +388,9 @@ class MaterializedView:
             recursive = False
             for rule in stratum_rules:
                 if rule.is_fact and rule.head.is_ground:
-                    self._support.protected.add(rule.head)
+                    self._support.protected.add(
+                        (rule.head.predicate, encode(rule.head))
+                    )
                     continue
                 compiled = compile_rule(rule, statistics=statistics)
                 head_component = component.get(rule.head.predicate)
@@ -413,15 +412,9 @@ class MaterializedView:
     # --------------------------------------------------- checkpoint state
     def export_state(
         self,
-    ) -> Optional[
-        Tuple[
-            Tuple[Atom, ...],
-            Tuple[Atom, ...],
-            Tuple[Tuple[int, Atom, Tuple[Atom, ...], Tuple[Atom, ...]], ...],
-        ]
-    ]:
-        """Export ``(base facts, stored atoms, support records)`` for
-        checkpointing.
+    ) -> Optional[Tuple[Tuple[Fact, ...], Tuple[Fact, ...], Tuple[Record, ...]]]:
+        """Export ``(base facts, stored facts, support records)`` for
+        checkpointing, all as :data:`Fact` rows of the process-wide table.
 
         Each record is ``(rule position, head, positive body, negative
         body)`` where the rule position indexes the view's normalised rule
@@ -436,29 +429,29 @@ class MaterializedView:
         position_of = {
             id(rule): position for position, rule in enumerate(self._normal)
         }
-        records: List[Tuple[int, Atom, Tuple[Atom, ...], Tuple[Atom, ...]]] = []
+        records: List[Record] = []
         for key, negative in self._support.derivations.items():
             rid, head, body = key
             position = position_of.get(id(self._support._rule_refs[rid]))
             if position is None:
                 return None
             records.append((position, head, body, negative))
-        return (
-            tuple(self._support.base),
-            tuple(self._index.atoms()),
-            tuple(records),
+        index = self._index
+        stored = tuple(
+            (predicate, row)
+            for predicate in index.predicates()
+            for row in index.rows_of(predicate)
         )
+        return tuple(self._support.base), stored, tuple(records)
 
     @classmethod
     def restore(
         cls,
         rules,
         *,
-        base: Iterable[Atom],
-        atoms: Iterable[Atom],
-        records: Iterable[
-            Tuple[int, Atom, Tuple[Atom, ...], Tuple[Atom, ...]]
-        ],
+        base: Iterable[Fact],
+        atoms: Iterable[Fact],
+        records: Iterable[Record],
         stratification=None,
         statistics: Optional[EngineStatistics] = None,
         max_atoms: Optional[int] = None,
@@ -467,12 +460,13 @@ class MaterializedView:
         re-running the fixpoint.
 
         The program structure is recompiled (cheap, O(|rules|)); the
-        materialisation and the support table are loaded verbatim, so the
-        cost is O(checkpointed state), not O(evaluation).  *rules* must be
-        the same program (same normalised rule order) the state was exported
-        from — the warm-restart path guarantees this by recompiling the plan
-        from the same query shape.  The restored view is indistinguishable
-        from the original to :meth:`apply_delta`.
+        materialisation (*atoms*: the stored facts) and the support table
+        are loaded verbatim as rows, so the cost is O(checkpointed state),
+        not O(evaluation).  *rules* must be the same program (same
+        normalised rule order) the state was exported from — the
+        warm-restart path guarantees this by recompiling the plan from the
+        same query shape.  The restored view is indistinguishable from the
+        original to :meth:`apply_delta`.
         """
         view = cls.__new__(cls)
         view._setup(
@@ -481,9 +475,10 @@ class MaterializedView:
             statistics=statistics,
             max_atoms=max_atoms,
         )
-        for atom in base:
-            view._support.add_base(atom)
-        view._index = RelationIndex(atoms, statistics=statistics)
+        view._support.base.update(base)
+        view._index = RelationIndex(statistics=statistics)
+        for predicate, row in atoms:
+            view._index.add_row(predicate, row)
         # The base never replays deltas (mirrors __init__'s evaluated index).
         view._index.compact(view._index.tick())
         normal = view._normal
@@ -505,7 +500,8 @@ class MaterializedView:
         return self._support
 
     @property
-    def base_facts(self) -> frozenset[Atom]:
+    def base_facts(self) -> frozenset[Fact]:
+        """The extensional facts, as :data:`Fact` rows."""
         return frozenset(self._support.base)
 
     def atoms(self) -> frozenset[Atom]:
@@ -549,20 +545,27 @@ class MaterializedView:
             self._index.compact(self._index.tick())
             self._call_added = set()
             self._call_removed = set()
-            base_add: Dict[int, List[Atom]] = {}
-            base_del: Dict[int, List[Atom]] = {}
-            scheduled_deletions: Set[Atom] = set()
+            support = self._support
+            symbols = self._index.symbols
+            base_add: Dict[int, List[Fact]] = {}
+            base_del: Dict[int, List[Fact]] = {}
+            scheduled_deletions: Set[Fact] = set()
             for atom in deletions:
-                if atom in self._support.protected:
+                # Probing must not grow the symbol table: an atom with a
+                # never-interned term is neither stored nor a base fact.
+                row = symbols.try_encode_atom(atom)
+                if row is None:
                     continue
-                if atom in self._support.base:
-                    base_del.setdefault(self._stratum_of(atom.predicate), []).append(atom)
-                    scheduled_deletions.add(atom)
+                fact = (atom.predicate, row)
+                if fact in support.base and fact not in support.protected:
+                    base_del.setdefault(self._stratum_of(fact[0]), []).append(fact)
+                    scheduled_deletions.add(fact)
             for atom in additions:
+                fact = (atom.predicate, symbols.encode_atom(atom))
                 # Re-adding a scheduled deletion is meaningful (the per-stratum
                 # delete phase runs before the add phase, so the add wins).
-                if atom not in self._support.base or atom in scheduled_deletions:
-                    base_add.setdefault(self._stratum_of(atom.predicate), []).append(atom)
+                if fact not in support.base or fact in scheduled_deletions:
+                    base_add.setdefault(self._stratum_of(fact[0]), []).append(fact)
             for stratum in range(len(self._strat.strata) or 1):
                 self._delete_phase(stratum, base_del.get(stratum, ()))
                 self._add_phase(stratum, base_add.get(stratum, ()))
@@ -577,44 +580,44 @@ class MaterializedView:
                 span.finish()
 
     # ------------------------------------------------------- index plumbing
-    def _add_atom(self, atom: Atom) -> bool:
-        if not self._index.add(atom):
+    def _add_fact(self, fact: Fact) -> bool:
+        if not self._index.add_row(*fact):
             return False
-        if atom in self._call_removed:
-            self._call_removed.discard(atom)
+        if fact in self._call_removed:
+            self._call_removed.discard(fact)
         else:
-            self._call_added.add(atom)
+            self._call_added.add(fact)
         if self._max_atoms is not None and len(self._index) > self._max_atoms:
             raise SolverLimitError("incremental maintenance exceeded max_atoms")
         return True
 
-    def _remove_atom(self, atom: Atom) -> None:
-        if not self._index.remove(atom):
+    def _remove_fact(self, fact: Fact) -> None:
+        if not self._index.remove_row(*fact):
             return
-        if atom in self._call_added:
-            self._call_added.discard(atom)
+        if fact in self._call_added:
+            self._call_added.discard(fact)
         else:
-            self._call_removed.add(atom)
+            self._call_removed.add(fact)
 
     # --------------------------------------------------------- delete phase
-    def _delete_phase(self, stratum: int, base_removed: Sequence[Atom]) -> None:
+    def _delete_phase(self, stratum: int, base_removed: Sequence[Fact]) -> None:
         support = self._support
-        seeds: List[Atom] = []
-        for atom in base_removed:
-            support.base.discard(atom)
-            seeds.append(atom)
+        seeds: List[Fact] = []
+        for fact in base_removed:
+            support.base.discard(fact)
+            seeds.append(fact)
         # Records invalidated by the net changes of lower strata: a removed
-        # atom kills the records that used it positively, an added atom the
+        # fact kills the records that used it positively, an added fact the
         # records that negated it.  (Same-stratum negation cannot exist.)
         invalid: Set[SupportKey] = set()
-        for atom in self._call_removed:
-            for key in support.uses.get(atom, ()):
-                if self._stratum_of(key[1].predicate) == stratum:
-                    invalid.add(key)
-        for atom in self._call_added:
-            for key in support.blockers.get(atom, ()):
-                if self._stratum_of(key[1].predicate) == stratum:
-                    invalid.add(key)
+        for paths, changed in (
+            (support.uses, self._call_removed),
+            (support.blockers, self._call_added),
+        ):
+            for fact in changed:
+                for key in paths.get(fact, ()):
+                    if self._stratum_of(key[1][0]) == stratum:
+                        invalid.add(key)
         for key in invalid:
             support.drop(key)
             seeds.append(key[1])
@@ -626,177 +629,169 @@ class MaterializedView:
         else:
             self._delete_counting(stratum, seeds)
 
-    def _delete_counting(self, stratum: int, seeds: List[Atom]) -> None:
+    def _delete_counting(self, stratum: int, seeds: List[Fact]) -> None:
         """Exact derivation-count cascade (non-recursive stratum)."""
         support = self._support
+        contains = self._index.contains_row
         work = list(seeds)
         while work:
-            atom = work.pop()
-            if support.is_alive(atom):
+            fact = work.pop()
+            if support.is_alive(fact) or not contains(*fact):
                 continue
-            if atom not in self._index:
-                continue
-            self._remove_atom(atom)
-            for key in list(support.uses.get(atom, ())):
-                if self._stratum_of(key[1].predicate) == stratum:
+            self._remove_fact(fact)
+            for key in list(support.uses.get(fact, ())):
+                if self._stratum_of(key[1][0]) == stratum:
                     support.drop(key)
                     work.append(key[1])
                 # Higher-stratum records survive until their stratum's own
-                # delete phase reads this atom out of the net-removed set.
+                # delete phase reads this fact out of the net-removed set.
 
-    def _delete_rederive(self, stratum: int, seeds: List[Atom]) -> None:
+    def _delete_rederive(self, stratum: int, seeds: List[Fact]) -> None:
         """Delete-and-Rederive (recursive stratum: counting is unsound)."""
         support = self._support
+        contains = self._index.contains_row
         # 1. Over-delete: everything reachable from the seeds through
         #    same-stratum support edges, ignoring alternative derivations.
-        overdeleted: Set[Atom] = set()
-        stack = [atom for atom in seeds if atom in self._index]
+        overdeleted: Set[Fact] = set()
+        stack = [fact for fact in seeds if contains(*fact)]
         while stack:
-            atom = stack.pop()
-            if atom in overdeleted:
+            fact = stack.pop()
+            if fact in overdeleted:
                 continue
-            overdeleted.add(atom)
+            overdeleted.add(fact)
             if self._stats is not None:
                 self._stats.overdeletions += 1
-            for key in support.uses.get(atom, ()):
+            for key in support.uses.get(fact, ()):
                 head = key[1]
                 if (
                     head not in overdeleted
-                    and self._stratum_of(head.predicate) == stratum
-                    and head in self._index
+                    and self._stratum_of(head[0]) == stratum
+                    and contains(*head)
                 ):
                     stack.append(head)
 
-        # 2. Rederive: an over-deleted atom survives if it is still a base /
+        # 2. Rederive: an over-deleted fact survives if it is still a base /
         #    protected fact or one of its remaining records has a body that
         #    escaped the over-deletion (records hit by *genuine* lower-strata
         #    deletions were already dropped above).
-        rederived: Set[Atom] = set()
+        rederived: Set[Fact] = set()
 
-        def supported(atom: Atom) -> bool:
-            if atom in support.base or atom in support.protected:
+        def supported(fact: Fact) -> bool:
+            if fact in support.base or fact in support.protected:
                 return True
-            for key in support.supports.get(atom, ()):
-                body = key[2]
-                if all(b not in overdeleted or b in rederived for b in body):
+            for key in support.supports.get(fact, ()):
+                if all(b not in overdeleted or b in rederived for b in key[2]):
                     return True
             return False
 
-        queue = [atom for atom in overdeleted if supported(atom)]
+        queue = [fact for fact in overdeleted if supported(fact)]
         while queue:
-            atom = queue.pop()
-            if atom in rederived or not supported(atom):
+            fact = queue.pop()
+            if fact in rederived or not supported(fact):
                 continue
-            rederived.add(atom)
+            rederived.add(fact)
             if self._stats is not None:
                 self._stats.rederivations += 1
-            for key in support.uses.get(atom, ()):
+            for key in support.uses.get(fact, ()):
                 head = key[1]
                 if (
                     head in overdeleted
                     and head not in rederived
-                    and self._stratum_of(head.predicate) == stratum
+                    and self._stratum_of(head[0]) == stratum
                 ):
                     queue.append(head)
 
-        # 3. Commit the difference; drop every record a dead atom touches.
+        # 3. Commit the difference; drop every record a dead fact touches.
         dead = overdeleted - rederived
-        for atom in dead:
-            self._remove_atom(atom)
-        for atom in dead:
-            for key in list(support.supports.get(atom, ())):
+        for fact in dead:
+            self._remove_fact(fact)
+        for fact in dead:
+            for key in list(support.supports.get(fact, ())):
                 support.drop(key)
-            for key in list(support.uses.get(atom, ())):
-                if self._stratum_of(key[1].predicate) == stratum:
+            for key in list(support.uses.get(fact, ())):
+                if self._stratum_of(key[1][0]) == stratum:
                     support.drop(key)
 
     # ------------------------------------------------------------ add phase
-    def _add_phase(self, stratum: int, base_added: Sequence[Atom]) -> None:
+    def _add_phase(self, stratum: int, base_added: Sequence[Fact]) -> None:
         support = self._support
-        readded: List[Atom] = []
-        for atom in base_added:
-            support.add_base(atom)
-            if self._add_atom(atom) and atom not in self._call_added:
+        readded: List[Fact] = []
+        for fact in base_added:
+            support.base.add(fact)
+            if self._add_fact(fact) and fact not in self._call_added:
                 # Deleted earlier in this very apply (net-unchanged, so it
                 # is absent from _call_added) yet physically re-inserted:
                 # it must still drive the delta joins below, or the
                 # derivations dropped by the delete phase stay lost.
-                readded.append(atom)
+                readded.append(fact)
         pending: List[Tuple[CompiledRule, EncodedRule, tuple]] = []
         # Deletions below a negation re-open derivations the negation had
         # suppressed; those rules are re-evaluated in full against the
         # repaired state (their join is part of the affected cone).
-        removed_predicates = {atom.predicate for atom in self._call_removed}
+        removed_predicates = {predicate for predicate, _ in self._call_removed}
         rescanned: Set[int] = set()
         for predicate in removed_predicates:
             for site_stratum, compiled in self._negative_sites.get(predicate, ()):
                 if site_stratum == stratum and id(compiled) not in rescanned:
                     rescanned.add(id(compiled))
                     pending.extend(self._matches(compiled))
-        # Delta joins: every net-added atom (lower strata and this stratum's
-        # base additions) plus the re-added overlap atoms drive the body
+        # Delta joins: every net-added fact (lower strata and this stratum's
+        # base additions) plus the re-added overlap facts drive the body
         # positions that mention them.
-        delta_pool: Dict[Predicate, List[Atom]] = {}
-        for atom in self._call_added:
-            delta_pool.setdefault(atom.predicate, []).append(atom)
-        for atom in readded:
-            delta_pool.setdefault(atom.predicate, []).append(atom)
-        pending.extend(self._delta_join(stratum, delta_pool))
-        # Semi-naive within the stratum until no firing yields a new atom.
+        delta = list(self._call_added)
+        delta.extend(readded)
+        pending.extend(self._delta_join(stratum, delta))
+        # Semi-naive within the stratum until no firing yields a new fact.
         while pending:
             fresh = self._process_firings(pending)
             if not fresh:
                 break
-            grouped: Dict[Predicate, List[Atom]] = {}
-            for atom in fresh:
-                grouped.setdefault(atom.predicate, []).append(atom)
-            pending = self._delta_join(stratum, grouped)
+            pending = self._delta_join(stratum, fresh)
 
     def _matches(
         self,
         compiled: CompiledRule,
         *,
-        delta: Optional[List[Atom]] = None,
+        delta: Optional[Sequence[Fact]] = None,
         delta_position: Optional[int] = None,
     ):
         """Enumerate one rule's firings as ``(compiled, encoded, binding)``."""
-        symbols = self._index.symbols
-        encoded = encode_rule(compiled, symbols)
-        delta_rows = None
-        if delta_position is not None:
-            encode = symbols.encode_atom
-            delta_rows = [(atom.predicate, encode(atom)) for atom in delta]
+        encoded = encode_rule(compiled, self._index.symbols)
         for binding in enumerate_bindings(
             encoded,
             self._index,
-            delta_rows=delta_rows,
+            delta_rows=delta,
             delta_position=delta_position,
             statistics=self._stats,
         ):
             yield (compiled, encoded, tuple(binding))
 
     def _delta_join(
-        self, stratum: int, grouped: Dict[Predicate, List[Atom]]
+        self, stratum: int, delta: Sequence[Fact]
     ) -> List[Tuple[CompiledRule, EncodedRule, tuple]]:
+        grouped: Dict[Predicate, List[Fact]] = {}
+        for fact in delta:
+            grouped.setdefault(fact[0], []).append(fact)
         pending: List[Tuple[CompiledRule, EncodedRule, tuple]] = []
-        for predicate, atoms in grouped.items():
+        for predicate, facts in grouped.items():
             for site_stratum, compiled, position in self._positive_sites.get(
                 predicate, ()
             ):
                 if site_stratum != stratum:
                     continue
                 pending.extend(
-                    self._matches(compiled, delta=atoms, delta_position=position)
+                    self._matches(compiled, delta=facts, delta_position=position)
                 )
         return pending
 
     def _process_firings(
         self, pending: List[Tuple[CompiledRule, EncodedRule, tuple]]
-    ) -> List[Atom]:
-        fresh: List[Atom] = []
+    ) -> List[Fact]:
+        fresh: List[Fact] = []
+        record = self._support.record
         for compiled, encoded, binding in pending:
-            for _, head in self._support.record(compiled, encoded, binding):
-                if self._add_atom(head):
+            for head in record(compiled, encoded, binding):
+                if self._add_fact(head):
                     fresh.append(head)
         return fresh
 

@@ -402,43 +402,36 @@ class EncodedRule:
                 out.append((predicate, tuple(row)))
         return out
 
-    def build_positive_atoms(self, binding: Sequence[Optional[int]]) -> Tuple[Atom, ...]:
-        """The ground positive body under *binding* (canonical cached atoms).
+    def build_positive_rows(
+        self, binding: Sequence[Optional[int]]
+    ) -> Tuple[Tuple[Predicate, Row], ...]:
+        """The ground positive body under *binding*, as ``(predicate, row)``.
 
         Valid only for complete bindings (every slot of the positive body
         bound) — i.e. what a finished join enumeration yields.
         """
-        symbols = self.symbols
-        decode = symbols.atom
         return tuple(
-            decode(
+            (
                 predicate,
                 tuple(
-                    entry if entry >= 0 else binding[-entry - 1]
-                    for entry in entries
+                    [entry if entry >= 0 else binding[-entry - 1] for entry in entries]
                 ),
             )
             for predicate, entries in self.positive
         )
 
-    def build_negative_atoms(self, binding: Sequence[Optional[int]]) -> Tuple[Atom, ...]:
-        """The ground negative body under *binding* (canonical cached atoms)."""
+    def build_negative_rows(
+        self, binding: Sequence[Optional[int]]
+    ) -> Tuple[Tuple[Predicate, Row], ...]:
+        """The ground negative body under *binding*, as ``(predicate, row)``."""
         symbols = self.symbols
-        decode = symbols.atom
         return tuple(
-            decode(
+            (
                 predicate,
-                tuple(_resolve_spec(spec, binding, symbols) for spec in specs),
+                tuple([_resolve_spec(spec, binding, symbols) for spec in specs]),
             )
             for _, predicate, specs in self.negatives
         )
-
-    def build_head_atoms(self, binding: Sequence[Optional[int]]) -> List[Atom]:
-        """The ground heads under *binding*, decoded (non-ground skipped)."""
-        decode = self.symbols.atom
-        return [
-            decode(predicate, row) for predicate, row in self.build_head_rows(binding)
-        ]
 
     def decode_binding(
         self,

@@ -177,24 +177,25 @@ class MagicProgram:
         is collected, which is only meaningful for single-seed evaluations
         (the historical behaviour of ``evaluate``/``evaluate_on``).
         """
-        answers: Set[Tuple[Term, ...]] = set()
-        wanted = tuple(constants) if constants is not None else None
-        if wanted:
-            # Indexed lookup on the parameter suffix: the goal tuples of one
+        goal = self.goal.renamed
+        arity = self.answer_arity
+        symbols = index.symbols
+        if constants:
+            # Indexed lookup on the parameter suffix: the goal rows of one
             # seed come out of a hash bucket, so collecting stays O(answers
             # of this seed) no matter how many seeds share the index.
-            pattern = Atom(
-                self.goal.renamed,
-                tuple(Variable(f"$A{i}") for i in range(self.answer_arity))
-                + wanted,
+            key = tuple(symbols.try_encode_term(term) for term in constants)
+            if None in key:
+                return frozenset()  # a never-interned constant matches nothing
+            rows = index.rows_for(
+                goal, tuple(range(arity, arity + len(key))), key
             )
-            pool = index.candidates_for(pattern)
         else:
-            pool = index.candidates(self.goal.renamed)
-        for atom in pool:
-            if wanted is not None and atom.terms[self.answer_arity:] != wanted:
-                continue
-            answer = atom.terms[: self.answer_arity]
+            rows = index.rows_of(goal)
+        decode = symbols.decode_term
+        answers: Set[Tuple[Term, ...]] = set()
+        for row in rows:
+            answer = tuple([decode(tid) for tid in row[:arity]])
             # Mirror ConjunctiveQuery.answers: non-Boolean answers must be
             # tuples of constants (nulls from chase-produced facts are not
             # answer tuples).

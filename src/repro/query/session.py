@@ -58,6 +58,7 @@ from ..core.database import Database
 from ..core.queries import ConjunctiveQuery
 from ..core.terms import Constant, Term
 from ..engine import MaterializedView, RelationIndex, RelationSnapshot, ViewDelta
+from ..engine.maintenance import Fact, Record
 from ..engine.stats import EngineStatistics
 from ..errors import (
     SolverLimitError,
@@ -499,14 +500,16 @@ class ViewExport:
     is deterministic), which is what makes the rule ``records`` positions
     meaningful across processes.  ``base``/``atoms``/``records`` come from
     :meth:`~repro.engine.maintenance.MaterializedView.export_state`, and
-    ``seeds`` are the magic seed atoms injected so far, LRU order preserved.
+    ``seeds`` are the magic seeds injected so far, LRU order preserved.
+    Every fact is a ``(predicate, row)`` pair of the process-wide symbol
+    table; the durability layer maps those ids to payload-local ones.
     """
 
     query: ConjunctiveQuery
-    base: Tuple[Atom, ...]
-    atoms: Tuple[Atom, ...]
-    records: Tuple[Tuple[int, Atom, Tuple[Atom, ...], Tuple[Atom, ...]], ...]
-    seeds: Tuple[Atom, ...]
+    base: Tuple[Fact, ...]
+    atoms: Tuple[Fact, ...]
+    records: Tuple[Record, ...]
+    seeds: Tuple[Fact, ...]
 
 
 @dataclass(frozen=True)
@@ -673,7 +676,7 @@ class QuerySession:
         self._capture_deltas = False
         #: predicates whose base facts net-changed since the last drain
         self._pending_touched: set[Predicate] = set()
-        #: plan key -> (net added atoms, net removed atoms) since last drain
+        #: plan key -> (net added facts, net removed facts) since last drain
         self._pending_views: dict[tuple, Tuple[set, set]] = {}
         #: plan keys whose view died mid-repair since the last drain
         self._pending_lost: set[tuple] = set()
@@ -775,6 +778,7 @@ class QuerySession:
         correctness in any way.
         """
         views: List[ViewExport] = []
+        encode = self._index.symbols.encode_atom
         for key, entry in self._views.items():
             plan = self._plans.get(key)
             if plan is None or plan.depends is None:
@@ -792,7 +796,9 @@ class QuerySession:
                     base=base,
                     atoms=atoms,
                     records=records,
-                    seeds=tuple(entry.seeds),
+                    seeds=tuple(
+                        (seed.predicate, encode(seed)) for seed in entry.seeds
+                    ),
                 )
             )
         answers = tuple(
@@ -820,6 +826,7 @@ class QuerySession:
         if not self._rewritable:
             return 0
         restored = 0
+        decode = self._index.symbols.atom
         for export in state.views:
             key = None
             try:
@@ -834,8 +841,8 @@ class QuerySession:
                     max_atoms=self._max_atoms,
                 )
                 entry = _PlanView(view=view)
-                for seed in export.seeds:
-                    entry.seeds[seed] = None
+                for predicate, row in export.seeds:
+                    entry.seeds[decode(predicate, row)] = None
                 self._views[key] = entry
                 self.statistics.views_built += 1
                 restored += 1

@@ -63,6 +63,7 @@ from typing import (
 from ..core.atoms import Atom, Literal, Predicate
 from ..core.queries import ConjunctiveQuery
 from ..core.terms import Constant, FunctionTerm, Null, Term, Variable
+from ..engine import Fact, global_symbols
 from ..errors import DurabilityError, SafetyError
 from ..obs.metrics import MetricsRegistry, global_registry
 from ..obs.trace import get_tracer
@@ -228,23 +229,27 @@ def _encode_warm_state(state: WarmState, interner: _TermInterner) -> dict:
     """Encode a :class:`~repro.query.session.WarmState` against the
     checkpoint's symbol table.
 
-    Warm state repeats the same atoms relentlessly — a support record's
-    body atoms are other records' heads — so each distinct atom is stored
-    once, as a row of the ``"atoms"`` table, and referenced by index.
+    Warm state repeats the same facts relentlessly — a support record's
+    body facts are other records' heads — so each distinct fact is stored
+    once, as a row of the ``"atoms"`` table, and referenced by index.  The
+    facts are rows of the process-wide symbol table; their ids map to
+    payload ids without decoding to atoms.
     """
-    atom_indices: Dict[Atom, int] = {}
+    decode = global_symbols().decode_term
+    fact_indices: Dict[Fact, int] = {}
     atoms: List[list] = []
 
-    def ref(atom: Atom) -> int:
-        index = atom_indices.get(atom)
+    def ref(fact: Fact) -> int:
+        index = fact_indices.get(fact)
         if index is None:
             index = len(atoms)
-            atom_indices[atom] = index
-            atoms.append(interner.atom_row(atom))
+            fact_indices[fact] = index
+            predicate, row = fact
+            atoms.append([predicate.name, [interner.ref(decode(t)) for t in row]])
         return index
 
-    def refs(items: Iterable[Atom]) -> List[int]:
-        return [ref(atom) for atom in items]
+    def refs(items: Iterable[Fact]) -> List[int]:
+        return [ref(fact) for fact in items]
 
     def query(value: ConjunctiveQuery) -> dict:
         return {
@@ -282,8 +287,16 @@ def _encode_warm_state(state: WarmState, interner: _TermInterner) -> dict:
 
 
 def _decode_warm_state(payload: dict, table: Sequence[Term]) -> WarmState:
-    """Inverse of :func:`_encode_warm_state` (call under :func:`_decoding`)."""
-    atoms = [_atom_from_row(row, table) for row in payload["atoms"]]
+    """Inverse of :func:`_encode_warm_state` (call under :func:`_decoding`):
+    payload ids map back to ids of the process-wide symbol table."""
+    encode = global_symbols().encode_term
+    ids = [encode(term) for term in table]
+    predicates: Dict[Tuple[str, int], Predicate] = {}
+    facts: List[Fact] = []
+    for name, row in payload["atoms"]:
+        key = (name, len(row))
+        predicate = predicates.get(key) or predicates.setdefault(key, Predicate(*key))
+        facts.append((predicate, tuple([ids[index] for index in row])))
 
     def query(value: dict) -> ConjunctiveQuery:
         return ConjunctiveQuery(
@@ -297,18 +310,18 @@ def _decode_warm_state(payload: dict, table: Sequence[Term]) -> WarmState:
     views = tuple(
         ViewExport(
             query=query(view["query"]),
-            base=tuple(atoms[ref] for ref in view["base"]),
-            atoms=tuple(atoms[ref] for ref in view["atoms"]),
+            base=tuple(facts[ref] for ref in view["base"]),
+            atoms=tuple(facts[ref] for ref in view["atoms"]),
             records=tuple(
                 (
                     position,
-                    atoms[head],
-                    tuple(atoms[ref] for ref in body),
-                    tuple(atoms[ref] for ref in negative),
+                    facts[head],
+                    tuple(facts[ref] for ref in body),
+                    tuple(facts[ref] for ref in negative),
                 )
                 for position, head, body, negative in view["records"]
             ),
-            seeds=tuple(atoms[ref] for ref in view["seeds"]),
+            seeds=tuple(facts[ref] for ref in view["seeds"]),
         )
         for view in payload["views"]
     )

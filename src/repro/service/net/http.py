@@ -105,8 +105,13 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             count = int(length)
         except (TypeError, ValueError):
-            raise _HTTPError(400, "missing or invalid Content-Length")
-        if count < 0 or count > MAX_BODY_BYTES:
+            count = None
+        if count is None or count < 0 or count > MAX_BODY_BYTES:
+            # The body stays unread, so whatever the client sent as one
+            # would be parsed as the next request: end the connection.
+            self.close_connection = True
+            if count is None:
+                raise _HTTPError(400, "missing or invalid Content-Length")
             raise _HTTPError(400, "request body too large")
         body = self.rfile.read(count)
         try:
@@ -325,7 +330,11 @@ class DatalogHTTPServer(ThreadingHTTPServer):
                 403, "this backend does not support subscriptions"
             )
         query = self._query_of(payload)
-        subscription = self.backend.subscribe(query)
+        # An HTTP client may stop polling at any time; a full queue must
+        # not stall the writer, so overflow coalesces into a resync gap.
+        subscription = self.backend.subscribe(
+            query, on_overflow="drop_and_mark_gap"
+        )
         token = uuid.uuid4().hex
         with self._subscriptions_lock:
             self._subscriptions[token] = subscription

@@ -436,23 +436,15 @@ class DatalogService:
             "service_subscriptions_active",
             help="Live (not unsubscribed, not closed) subscriptions.",
         )
-        # What grows with the data: the interned terms and the decode cache
-        # of canonical atoms, both held by the process-wide symbol table.
-        symbols = global_symbols()
+        # What grows with the data: the terms interned by the process-wide
+        # symbol table.
         self._gauge_callbacks = [
             (
                 self._metrics.gauge(
                     "engine_symbols_interned",
                     help="Ground terms interned by the process-wide symbol table.",
                 ),
-                symbols.__len__,
-            ),
-            (
-                self._metrics.gauge(
-                    "engine_atom_cache_entries",
-                    help="Canonical atoms held by the symbol table's decode cache.",
-                ),
-                symbols.cached_atoms,
+                global_symbols().__len__,
             ),
             (
                 self._subscriptions_gauge,
@@ -1165,8 +1157,8 @@ class DatalogService:
         the ``service_read_latency_seconds`` histogram, the thread-safe
         ``service_snapshot_index_builds`` counter, and the live gauges —
         ``service_queue_depth``, ``service_epoch_lag_seconds``,
-        ``service_pending_futures``, and the symbol-table growth gauges
-        ``engine_symbols_interned`` / ``engine_atom_cache_entries``.  Feed
+        ``service_pending_futures``, and the symbol-table growth gauge
+        ``engine_symbols_interned``.  Feed
         it to :func:`repro.obs.prometheus_text` /
         :func:`repro.obs.json_snapshot` to export, or ``.diff(earlier)`` two
         of them for interval rates.

@@ -45,7 +45,8 @@ from itertools import count
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..core.queries import ConjunctiveQuery
-from ..core.terms import Constant, Term
+from ..core.terms import Constant
+from ..engine import global_symbols
 from ..errors import ReproError, ServiceClosedError
 from ..query.session import QuerySession, StandingDeltas, StandingQuery
 
@@ -480,28 +481,32 @@ class SubscriptionRegistry:
         delta,
     ) -> Tuple[frozenset, frozenset]:
         """This standing query's answer delta, from its plan's shared
-        goal-relation projection (built once per plan per epoch)."""
+        goal-relation projection (built once per plan per epoch): goal rows
+        grouped by parameter-suffix ids, only answer columns decoded."""
+        symbols = global_symbols()
         projection = projections.get(standing.plan_key)
         if projection is None:
             added_by: dict = {}
             removed_by: dict = {}
             arity = standing.answer_arity
+            decode = symbols.decode_term
             for source, target in (
                 (delta.added, added_by),
                 (delta.removed, removed_by),
             ):
-                for atom in source:
-                    if atom.predicate != standing.goal:
+                for predicate, row in source:
+                    if predicate != standing.goal:
                         continue
-                    answer: Tuple[Term, ...] = atom.terms[:arity]
+                    answer = tuple([decode(tid) for tid in row[:arity]])
                     # Mirror collect_answers: answers are constant tuples.
                     if not all(isinstance(term, Constant) for term in answer):
                         continue
-                    target.setdefault(atom.terms[arity:], set()).add(answer)
+                    target.setdefault(row[arity:], set()).add(answer)
             projection = (added_by, removed_by)
             projections[standing.plan_key] = projection
-        added = frozenset(projection[0].get(standing.constants, ()))
-        removed = frozenset(projection[1].get(standing.constants, ()))
+        suffix = tuple(map(symbols.try_encode_term, standing.constants))
+        added = frozenset(projection[0].get(suffix, ()))
+        removed = frozenset(projection[1].get(suffix, ()))
         return added, removed
 
     def _resync(self, subscription: Subscription) -> frozenset:

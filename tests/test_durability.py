@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from repro.core.atoms import Atom, Literal, Predicate
 from repro.core.queries import ConjunctiveQuery
 from repro.core.terms import Constant, FunctionTerm, Null, Variable
+from repro.engine import global_symbols
 from repro.errors import DurabilityError
 from repro.obs.metrics import MetricsRegistry
 from repro.query.session import (
@@ -148,14 +149,16 @@ def test_one_codec_round_trips_every_term_kind(
         ),
         (x,),
     )
+    # Warm state carries row-plane facts of the process-wide symbol table.
+    facts = [(atom.predicate, global_symbols().encode_atom(atom)) for atom in atoms]
     warm = WarmState(
         views=(
             ViewExport(
                 query=query,
-                base=tuple(atoms),
-                atoms=tuple(atoms[:half]),
-                records=((0, atoms[0], tuple(atoms[1:]), (atoms[-1],)),),
-                seeds=(atoms[-1],),
+                base=tuple(facts),
+                atoms=tuple(facts[:half]),
+                records=((0, facts[0], tuple(facts[1:]), (facts[-1],)),),
+                seeds=(facts[-1],),
             ),
         ),
         answers=(

@@ -21,6 +21,7 @@ from repro.engine import (
     RelationIndex,
     SupportTable,
     fixpoint,
+    global_symbols,
 )
 from repro.query import evaluate_stratified
 
@@ -36,6 +37,16 @@ REACH_RULES = parse_program(
 )
 
 DIAMOND = parse_database("link(a, b). link(b, c). link(a, c). link(c, d).")
+
+
+def fact(atom):
+    """*atom* on the row plane, as SupportTable and ViewDelta key it."""
+    return (atom.predicate, global_symbols().encode_atom(atom))
+
+
+def decoded(facts):
+    """ViewDelta / base-fact rows decoded back to atoms."""
+    return {global_symbols().atom(predicate, row) for predicate, row in facts}
 
 
 class TestSupportTableAndRetract:
@@ -69,7 +80,7 @@ class TestSupportTableAndRetract:
         # (rule, head, body) key and must match the table size exactly.
         assert stats.supports_recorded == len(table.derivations)
         q_a = Predicate("q", 1)(A)
-        assert len(table.supports[q_a]) == stats.supports_recorded
+        assert len(table.supports[fact(q_a)]) == stats.supports_recorded
 
     def test_retract_keeps_alternatively_supported_atoms(self):
         table, index = self._staffing()
@@ -120,7 +131,7 @@ class TestMaterializedViewCounting:
     def test_addition_delta_matches_scratch(self):
         view = MaterializedView(REACH_RULES, parse_database("link(a, b).").atoms)
         delta = view.apply_delta(additions=[LINK(B, C)])
-        assert LINK(B, C) in delta.added and REACH(A, C) in delta.added
+        assert {LINK(B, C), REACH(A, C)} <= decoded(delta.added)
         expected = evaluate_stratified(
             REACH_RULES, parse_database("link(a, b). link(b, c).").atoms
         ).atoms()
@@ -149,7 +160,7 @@ class TestMaterializedViewCounting:
         assert q(A) in view
         # Now delete the deriving fact: q(a) has no support left.
         delta = view.apply_delta(deletions=[Predicate("p", 1)(A)])
-        assert q(A) in delta.removed and Predicate("r", 1)(A) in delta.removed
+        assert {q(A), Predicate("r", 1)(A)} <= decoded(delta.removed)
 
     def test_non_recursive_strata_use_counting_not_dred(self):
         # edge, hop and two share stratum 0 (positive deps never raise
@@ -166,7 +177,7 @@ class TestMaterializedViewCounting:
         facts = parse_database("edge(a, b). edge(b, c).").atoms
         view = MaterializedView(rules, facts, statistics=stats)
         delta = view.apply_delta(deletions=[edge(A, B)])
-        assert Predicate("two", 2)(A, C) in delta.removed
+        assert Predicate("two", 2)(A, C) in decoded(delta.removed)
         assert stats.overdeletions == 0 and stats.rederivations == 0
         assert view.atoms() == evaluate_stratified(
             rules, set(facts) - {edge(A, B)}
@@ -179,10 +190,10 @@ class TestMaterializedViewCounting:
         delta = view.apply_delta(additions=[LINK(B, C)], deletions=[LINK(B, C)])
         assert not delta
         assert view.atoms() == before
-        assert LINK(B, C) in view.base_facts
+        assert fact(LINK(B, C)) in view.base_facts
         # Same atom in both sets, previously absent: the add wins too.
         delta = view.apply_delta(additions=[LINK(D, A)], deletions=[LINK(D, A)])
-        assert LINK(D, A) in delta.added
+        assert LINK(D, A) in decoded(delta.added)
         assert REACH(D, B) in view
 
     def test_program_facts_are_protected(self):
@@ -200,7 +211,7 @@ class TestMaterializedViewDRed:
         stats = EngineStatistics()
         view = MaterializedView(REACH_RULES, DIAMOND.atoms, statistics=stats)
         delta = view.apply_delta(deletions=[LINK(B, C)])
-        assert set(delta.removed) == {LINK(B, C), REACH(B, C), REACH(B, D)}
+        assert decoded(delta.removed) == {LINK(B, C), REACH(B, C), REACH(B, D)}
         assert not delta.added
         # a's reachability survived through the direct a->c link...
         assert REACH(A, C) in view and REACH(A, D) in view
@@ -216,7 +227,7 @@ class TestMaterializedViewDRed:
         chain = parse_database("link(a, b). link(b, c). link(c, d).")
         view = MaterializedView(REACH_RULES, chain.atoms)
         delta = view.apply_delta(deletions=[LINK(B, C)])
-        assert REACH(A, D) in delta.removed and REACH(B, C) in delta.removed
+        assert {REACH(A, D), REACH(B, C)} <= decoded(delta.removed)
         assert view.atoms() == evaluate_stratified(
             REACH_RULES, set(chain.atoms) - {LINK(B, C)}
         ).atoms()
@@ -227,7 +238,7 @@ class TestMaterializedViewDRed:
         facts = (set(DIAMOND.atoms) - {LINK(A, C)}) | {LINK(D, A)}
         assert view.atoms() == evaluate_stratified(REACH_RULES, facts).atoms()
         # The cycle d->a->b->c->d makes every node reach every other.
-        assert REACH(D, B) in delta.added
+        assert REACH(D, B) in decoded(delta.added)
 
     def test_legacy_stratification_without_component_ids_stays_sound(self):
         # A Stratification built with the pre-existing 3-arg form carries an
@@ -261,7 +272,7 @@ class TestMaterializedViewDRed:
         view = MaterializedView(rules, facts)
         assert on(A) in view and on(B) in view
         delta = view.apply_delta(deletions=[anchor(A)])
-        assert on(A) in delta.removed and on(B) in delta.removed
+        assert {on(A), on(B)} <= decoded(delta.removed)
         assert view.atoms() == evaluate_stratified(
             rules, set(facts) - {anchor(A)}
         ).atoms()
@@ -282,7 +293,7 @@ class TestMaterializedViewNegation:
         view = MaterializedView(self.RULES, facts)
         assert self.LOUD(A) not in view
         delta = view.apply_delta(deletions=[self.MUTED(A)])
-        assert self.LOUD(A) in delta.added and self.NOISY(A) in delta.added
+        assert {self.LOUD(A), self.NOISY(A)} <= decoded(delta.added)
         assert view.atoms() == evaluate_stratified(
             self.RULES, set(facts) - {self.MUTED(A)}
         ).atoms()
@@ -292,7 +303,7 @@ class TestMaterializedViewNegation:
         view = MaterializedView(self.RULES, facts)
         assert self.LOUD(B) in view
         delta = view.apply_delta(additions=[self.MUTED(B)])
-        assert self.LOUD(B) in delta.removed and self.NOISY(B) in delta.removed
+        assert {self.LOUD(B), self.NOISY(B)} <= decoded(delta.removed)
         assert view.atoms() == evaluate_stratified(
             self.RULES, set(facts) | {self.MUTED(B)}
         ).atoms()

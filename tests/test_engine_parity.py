@@ -731,5 +731,6 @@ class TestMaintenanceParity:
                 facts.add(atom)
                 delta = view.apply_delta(additions=[atom])
             after = view.atoms()
-            assert delta.added == after - before
-            assert delta.removed == before - after
+            decode = view.index.symbols.atom
+            assert {decode(*fact) for fact in delta.added} == after - before
+            assert {decode(*fact) for fact in delta.removed} == before - after

@@ -17,6 +17,7 @@ Three groups:
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -137,6 +138,35 @@ class TestSubscriptions:
             request(server, f"/v1/subscriptions/{token}?timeout=1")
         assert status_of(exc.value) == 404
 
+    def test_unpolled_subscription_never_stalls_the_writer(self, served):
+        # Regression: HTTP subscriptions used the service default
+        # on_overflow="block", so a client that subscribed and never polled
+        # wedged every write after its 256-item queue filled.
+        service, server = served
+        _, opened = request(
+            server, "/v1/subscribe", body={"query": QUERY_TEXT}
+        )
+        token = opened["subscription"]
+        for i in range(300):
+            service.add_facts([link("a", f"n{i}")]).result(timeout=10)
+        # Loss is marked, never silent: the stream opens with a gap, and
+        # its resync folded with the notifications after it is exactly the
+        # current answer set.
+        _, first = request(server, f"/v1/subscriptions/{token}?timeout=1")
+        assert first["gap"] is True and first["dropped"] > 0
+        answers = {tuple(row) for row in first["resync"]}
+        while True:
+            _, item = request(
+                server, f"/v1/subscriptions/{token}?timeout=0.2"
+            )
+            if item.get("timeout"):
+                break
+            assert item["gap"] is False
+            answers |= {tuple(row) for row in item["added"]}
+            answers -= {tuple(row) for row in item["removed"]}
+        current = service.answers(parse_query(QUERY_TEXT))
+        assert answers == {tuple(str(term) for term in row) for row in current}
+
     def test_poll_timeout_is_an_explicit_response(self, served):
         service, server = served
         _, opened = request(
@@ -204,6 +234,34 @@ class TestErrorMapping:
         assert status == 200
         assert payload["answers"] == [["b"], ["c"]]
         assert service.stats().counters["http_internal_errors_total"] == 1
+
+
+class TestUnreadBody:
+    @pytest.mark.parametrize("length", ["99999999999", "-1", "nope"])
+    def test_rejected_body_is_never_parsed_as_a_request(self, served, length):
+        # Regression: a body rejected for its Content-Length stayed unread
+        # on a keep-alive connection, so its bytes were served as the next
+        # request (here a smuggled GET /v1/stats answered 200).
+        _, server = served
+        smuggled = b"GET /v1/stats HTTP/1.1\r\nHost: x\r\n\r\n"
+        head = (
+            "POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("ascii")
+        received = b""
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(head + smuggled)
+            try:
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break  # the server closed the connection
+                    received += chunk
+            except socket.timeout:
+                pytest.fail("the connection stayed open after the 400")
+        assert received.startswith(b"HTTP/1.1 400")
+        assert received.count(b"HTTP/1.1 ") == 1
 
 
 class TestReplicaBackend:

@@ -83,9 +83,8 @@ class TestSymbolTableRoundTrip:
         row = table.encode_atom(atom)
         assert table.try_encode_atom(atom) == row
         decoded = table.atom(predicate, row)
-        assert decoded == atom
-        # The decode cache hands back one canonical object per row.
-        assert table.atom(predicate, row) is decoded
+        assert decoded == atom and hash(decoded) == hash(atom)
+        assert table.encode_atom(decoded) == row
 
     def test_try_encode_never_interns(self):
         table = SymbolTable()
@@ -168,7 +167,7 @@ class TestTupleRelation:
         assert relation.scan() == [(7,)]
         assert clone.scan() == [(7,), (8,)]
 
-    def test_atoms_decode_through_canonical_cache(self):
+    def test_atoms_decode_in_insertion_order_until_written(self):
         symbols = SymbolTable()
         predicate = Predicate("p", 2)
         a, b = Constant("a"), Constant("b")
@@ -176,7 +175,14 @@ class TestTupleRelation:
         relation.append(symbols.encode_atom(predicate(a, b)))
         decoded = relation.atoms(symbols, predicate)
         assert decoded == [predicate(a, b)]
-        assert decoded[0] is symbols.atom(predicate, relation.scan()[0])
+        # The scan list is kept per relation until the next write...
+        assert relation.atoms(symbols, predicate) is decoded
+        relation.append(symbols.encode_atom(predicate(b, a)))
+        assert relation.atoms(symbols, predicate) == [
+            predicate(a, b), predicate(b, a)
+        ]
+        # ...and the symbol table itself retains no decoded atom.
+        assert not hasattr(symbols, "_atoms")
 
 
 class TestEncodedExecutorParity:

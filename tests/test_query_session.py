@@ -408,6 +408,50 @@ class TestMaintainedViewRobustness:
             {(Constant("c28_b"),)}
         )
 
+    def test_churn_retains_no_atoms(self):
+        # Regression: every decode went through a process-global atom cache
+        # that was never cleared, so add/remove churn with fresh constants
+        # grew the live Atom population by ~70 per cycle while the fact
+        # base stayed the same size.
+        import gc
+
+        link = Predicate("link", 2)
+        base = [
+            Atom(link, (Constant(f"churn_b{i}"), Constant(f"churn_b{i + 1}")))
+            for i in range(4)
+        ]
+        rules = parse_program(
+            """
+            link(X, Y) -> reachable(X, Y)
+            link(X, Z), reachable(Z, Y) -> reachable(X, Y)
+            """
+        )
+        session = QuerySession(base, rules)
+        query = parse_query("?(Y) :- reachable(churn_b0, Y)")
+        expected = session.answers(query)
+
+        def cycle(n: int) -> None:
+            names = ["churn_b4"] + [f"churn_{n}_{i}" for i in range(5)]
+            chain = [
+                Atom(link, (Constant(source), Constant(target)))
+                for source, target in zip(names, names[1:])
+            ]
+            session.add_facts(chain)
+            assert len(session.answers(query)) == len(expected) + 5
+            session.remove_facts(chain)
+            assert session.answers(query) == expected
+
+        def live_atoms() -> int:
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj) is Atom)
+
+        for n in range(50):
+            cycle(n)
+        warm = live_atoms()
+        for n in range(50, 550):
+            cycle(n)
+        assert live_atoms() <= warm + 50
+
 
 class TestStableFastPath:
     def test_certain_answer_fast_path_matches_enumeration(self):
